@@ -12,6 +12,11 @@
 //   service_demo --rounds=200 --checkpoint=ck --csv=a.csv   # resumes
 //   service_demo --rounds=200 --csv=b.csv                   # uninterrupted
 //   cmp a.csv b.csv
+//
+// --threads=N attaches an engine pool of N threads (0 = all hardware
+// threads; default 1 = serial rounds). Rounds — the admission queue's
+// Poisson scan included — then run on the pool, and the CSV stream is
+// byte-identical at every N.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "service/admission.hpp"
 #include "service/balancer_service.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dlb;
 
@@ -41,6 +47,7 @@ struct Cli {
   Step checkpoint_interval = 0; // extra periodic checkpoints; 0 = exit only
   Step metrics_interval = 0;
   Load admission_cap = 48;
+  int threads = 1;              // engine pool parallelism; 0 = hardware
   std::string checkpoint_path;
   std::string csv_path;
   std::string metrics_file;  // Prometheus text exposition target
@@ -80,6 +87,8 @@ Cli parse_cli(int argc, char** argv) {
       cli.metrics_interval = v;
     } else if (parse_flag(argv[i], "--cap", v)) {
       cli.admission_cap = v;
+    } else if (parse_flag(argv[i], "--threads", v) && v >= 0) {
+      cli.threads = static_cast<int>(v);
     } else if (parse_flag(argv[i], "--checkpoint", s)) {
       cli.checkpoint_path = s;
     } else if (parse_flag(argv[i], "--csv", s)) {
@@ -93,8 +102,8 @@ Cli parse_cli(int argc, char** argv) {
                    "usage: service_demo [--nodes=N] [--balancer=NAME] "
                    "[--rounds=T] [--stop-after=K] [--checkpoint=PATH] "
                    "[--checkpoint-interval=K] [--metrics-interval=K] "
-                   "[--cap=N] [--csv=PATH] [--metrics-file=PATH] "
-                   "[--trace=PATH]\n");
+                   "[--cap=N] [--threads=N] [--csv=PATH] "
+                   "[--metrics-file=PATH] [--trace=PATH]\n");
       std::exit(2);
     }
   }
@@ -114,6 +123,8 @@ int main(int argc, char** argv) {
                                     traits.min_loops(g.degree()), g.degree())},
                 *balancer,
                 LoadVector(static_cast<std::size_t>(g.num_nodes()), 0));
+  ThreadPool pool(cli.threads);
+  engine.set_thread_pool(&pool);
 
   // Admission-limited Poisson demand: uniform churn, with bursts beyond
   // the per-round cap queued in the FIFO backlog (part of the snapshot).

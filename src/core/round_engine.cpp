@@ -128,7 +128,13 @@ void RoundEngineBase::load_core_state(StateReader& r) {
 
 void RoundEngineBase::apply_workload(ThreadPool* pool) {
   if (workload_ == nullptr) return;
-  workload_->prepare(t_, loads_);
+  {
+    // Lend the round's pool to prepare() (null on the serial path): a
+    // process with an O(n) prepare, the admission queue's inner scan,
+    // fans out over it without a pool parameter in the interface.
+    ThreadPool::Scope scope(pool);
+    workload_->prepare(t_, loads_);
+  }
   // Sparse fast path: a process that knows its round's touched-node set
   // (burst hotspot, adversary targets) hands it over and the engine
   // applies exactly those deltas — no n virtual delta() calls per round.

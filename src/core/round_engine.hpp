@@ -210,8 +210,9 @@ class RoundEngineBase {
   std::uint64_t round_begin() const noexcept;
   void round_end(std::uint64_t start_ns);
   /// Applies the attached workload's deltas for round t_ (no-op without
-  /// one). `pool` may be null; it is only used when the process allows
-  /// parallel generation.
+  /// one). `pool` may be null; it is ThreadPool::current() during the
+  /// process's prepare() and runs the dense delta pass when the process
+  /// allows parallel generation.
   void apply_workload(ThreadPool* pool);
 
   Step t_ = 0;

@@ -19,8 +19,10 @@
 // generated concurrently and a parallel round is byte-identical to a
 // serial one at any thread count. Processes that need global round state
 // (the adversarial injector's argmax scan, the burst hotspot pick)
-// compute it in the serial prepare() hook, exactly like
-// Balancer::prepare_round.
+// compute it in the once-per-round prepare() hook, exactly like
+// Balancer::prepare_round; prepare() may use the pool the engine lends
+// it (ThreadPool::current()) as long as its results stay independent
+// of that pool.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +75,29 @@ Load poisson_draw(Rng& rng, double lambda);
 inline constexpr double kPoissonProductCap = 64.0;
 inline constexpr double kPoissonSplitCap = 4096.0;
 
+/// poisson_draw with the per-rate work done once: the regime, the split
+/// chunk count, the exp(−λ) product limit and √λ are fixed at
+/// construction, so a draw only consumes uniforms. Draws are
+/// bit-identical to poisson_draw(rng, lambda) (which is implemented as a
+/// one-shot plan); a process drawing the same rate every node and round
+/// keeps one plan per rate.
+class PoissonPlan {
+ public:
+  /// Same preconditions as poisson_draw.
+  explicit PoissonPlan(double lambda);
+
+  Load draw(Rng& rng) const;
+
+ private:
+  double lambda_;
+  int chunks_ = 0;      ///< product draws summed; 0 = normal regime or λ = 0
+  double limit_ = 0.0;  ///< exp(−λ/chunks_), the product stop threshold
+  double sqrt_lambda_ = 0.0;
+};
+
 /// Per-round load perturbation source. Attach to any round engine via
 /// RoundEngineBase::set_workload; the engine calls prepare() once per
-/// round (serially) and then delta() for every node.
+/// round (from its stepping thread) and then delta() for every node.
 class WorkloadProcess {
  public:
   virtual ~WorkloadProcess() = default;
@@ -88,9 +110,14 @@ class WorkloadProcess {
   /// engine substrate — regular, irregular, or matching-based.
   virtual void reset(NodeId n, std::uint64_t seed) = 0;
 
-  /// Serial once-per-round hook, called before any delta() of round t
-  /// with the pre-injection loads. Processes needing global state (an
-  /// argmax scan) compute it here. Default: no-op.
+  /// Once-per-round hook, called before any delta() of round t with the
+  /// pre-injection loads, on the engine's stepping thread. Processes
+  /// needing global state (an argmax scan) compute it here. On parallel
+  /// rounds the engine lends its pool for the duration of the call as
+  /// ThreadPool::current() (nullptr on serial rounds); prepare() may fan
+  /// out over it, as AdmissionQueue's inner scan does, provided its
+  /// results do not depend on whether or how wide a pool was lent.
+  /// Default: no-op.
   virtual void prepare(Step t, std::span<const Load> loads);
 
   /// True when prepare() actually reads its loads span (the adversarial
@@ -199,6 +226,8 @@ class PoissonWorkload : public WorkloadProcess {
 
  private:
   Params params_;
+  PoissonPlan arrivals_;
+  PoissonPlan departures_;
   std::uint64_t seed_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "service/admission.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/assertions.hpp"
@@ -46,6 +47,7 @@ void AdmissionQueue::reset(NodeId n, std::uint64_t seed) {
   inner_->reset(n, seed);
   n_ = n;
   backlog_.clear();
+  backlog_tokens_ = 0;
   round_delta_.assign(static_cast<std::size_t>(n), 0);
   affected_.clear();
 }
@@ -76,6 +78,7 @@ void AdmissionQueue::prepare(Step t, std::span<const Load> loads) {
     const Load granted = admit(node, amount, budget);
     budget -= granted;
     amount -= granted;
+    backlog_tokens_ -= granted;
     if (amount == 0) backlog_.pop_front();
   }
 
@@ -93,10 +96,22 @@ void AdmissionQueue::prepare(Step t, std::span<const Load> loads) {
     }
     const Load granted = admit(u, d, budget);
     budget -= granted;
-    if (d > granted) backlog_.emplace_back(u, d - granted);
+    if (d > granted) {
+      backlog_.emplace_back(u, d - granted);
+      backlog_tokens_ += d - granted;
+    }
   };
+  ThreadPool* pool = ThreadPool::current();
   if (const std::vector<NodeId>* sparse = inner_->affected_nodes()) {
     for (NodeId u : *sparse) take(u, inner_->delta(u, t));
+  } else if (pool != nullptr && pool->parallelism() > 1 &&
+             inner_->parallel_generate_safe()) {
+    // The draws fan out; admission walks their nonzero results in the
+    // same ascending node order as the serial scan below.
+    scan_inner(*pool, t);
+    for (const auto& block : chunk_nonzero_) {
+      for (const auto& [u, d] : block) take(u, d);
+    }
   } else {
     for (NodeId u = 0; u < n_; ++u) take(u, inner_->delta(u, t));
   }
@@ -108,18 +123,38 @@ void AdmissionQueue::prepare(Step t, std::span<const Load> loads) {
   }
 }
 
+void AdmissionQueue::scan_inner(ThreadPool& pool, Step t) {
+  const std::int64_t n = n_;
+  const std::int64_t blocks = std::min<std::int64_t>(pool.parallelism(), n);
+  chunk_nonzero_.resize(static_cast<std::size_t>(blocks));
+  // One block per pool chunk (for_ranges splits [0, blocks) into exactly
+  // `blocks` unit ranges), so block c is always nodes [c·n/b, (c+1)·n/b).
+  pool.for_ranges(blocks, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      auto& slot = chunk_nonzero_[static_cast<std::size_t>(c)];
+      // Fill a chunk-local vector and swap it in at the end: growing the
+      // slots in place makes the chunks write adjacent vector headers,
+      // which false-share and cost the whole parallel gain.
+      std::vector<std::pair<NodeId, Load>> list;
+      list.swap(slot);
+      list.clear();
+      const auto first = static_cast<NodeId>(c * n / blocks);
+      const auto last = static_cast<NodeId>((c + 1) * n / blocks);
+      for (NodeId u = first; u < last; ++u) {
+        const Load d = inner_->delta(u, t);
+        if (d != 0) list.emplace_back(u, d);
+      }
+      slot.swap(list);
+    }
+  });
+}
+
 Load AdmissionQueue::delta(NodeId u, Step /*t*/) {
   return round_delta_[static_cast<std::size_t>(u)];
 }
 
 const std::vector<NodeId>* AdmissionQueue::affected_nodes() const {
   return &affected_;
-}
-
-Load AdmissionQueue::backlog_total() const noexcept {
-  Load sum = 0;
-  for (const auto& [node, amount] : backlog_) sum += amount;
-  return sum;
 }
 
 void AdmissionQueue::save_state(StateWriter& w) const {
@@ -138,6 +173,7 @@ void AdmissionQueue::load_state(StateReader& r) {
     throw serial_error("admission queue state: truncated backlog");
   }
   std::deque<std::pair<NodeId, Load>> backlog;
+  Load tokens = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const NodeId node = r.i32();
     const Load amount = r.i64();
@@ -147,9 +183,14 @@ void AdmissionQueue::load_state(StateReader& r) {
     if (amount <= 0) {
       throw serial_error("admission queue state: non-positive backlog entry");
     }
+    if (amount > std::numeric_limits<Load>::max() - tokens) {
+      throw serial_error("admission queue state: backlog total overflows");
+    }
+    tokens += amount;
     backlog.emplace_back(node, amount);
   }
   backlog_ = std::move(backlog);
+  backlog_tokens_ = tokens;
 }
 
 }  // namespace dlb

@@ -342,7 +342,11 @@ void ShardedEngine::apply_workload() {
   const std::span<const Load> loads = workload_->prepare_reads_loads()
                                           ? gather_into_scratch()
                                           : std::span<const Load>();
-  workload_->prepare(t_, loads);
+  {
+    // Lend the engine's pool to prepare(), as the flat engine does.
+    ThreadPool::Scope scope(pool_);
+    workload_->prepare(t_, loads);
+  }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const bool logging = input_log_ != nullptr;
   if (const std::vector<NodeId>* sparse = workload_->affected_nodes()) {

@@ -28,7 +28,17 @@ PoolMetrics& pool_metrics() {
   return *m;
 }
 
+thread_local ThreadPool* current_pool = nullptr;
+
 }  // namespace
+
+ThreadPool* ThreadPool::current() noexcept { return current_pool; }
+
+ThreadPool::Scope::Scope(ThreadPool* pool) noexcept : previous_(current_pool) {
+  current_pool = pool;
+}
+
+ThreadPool::Scope::~Scope() { current_pool = previous_; }
 
 int ThreadPool::hardware_parallelism() {
   const unsigned hw = std::thread::hardware_concurrency();

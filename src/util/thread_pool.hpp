@@ -50,6 +50,28 @@ class ThreadPool {
   void for_ranges(std::int64_t total,
                   const std::function<void(std::int64_t, std::int64_t)>& body);
 
+  /// The pool a Scope on this thread currently lends out, or nullptr.
+  /// Engines lend theirs only around a workload's prepare(), so a hook
+  /// that cannot take a pool parameter (WorkloadProcess::prepare, reached
+  /// through any number of forwarding wrappers) can still fan out over
+  /// the engine's pool. Thread-local: pool workers and other threads see
+  /// nullptr.
+  static ThreadPool* current() noexcept;
+
+  /// RAII: makes `pool` (may be null) ThreadPool::current() on this
+  /// thread for the Scope's lifetime, then restores the previous value —
+  /// also when the scoped code throws.
+  class Scope {
+   public:
+    explicit Scope(ThreadPool* pool) noexcept;
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
+
  private:
   void worker_loop();
   /// Claims and runs chunks of the current job until none remain.

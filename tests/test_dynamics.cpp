@@ -150,6 +150,67 @@ TEST(PoissonDraw, DeterministicAcrossRegimeBoundaries) {
   }
 }
 
+namespace {
+
+/// FNV-1a over the little-endian bytes of each value.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(Load v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i, u >>= 8) {
+      h = (h ^ (u & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+};
+
+/// The golden rates: all three regimes and both sides of both seams.
+constexpr double kGoldenRates[] = {0.05, 1.0,    63.9,  64.0,
+                                   64.5, 4096.0, 5000.0};
+
+}  // namespace
+
+TEST(PoissonDraw, GoldenDigestsPinEveryRegime) {
+  // Digests of 10^4 draws per rate, recorded from the implementation
+  // that recomputed the regime, chunk count and exp(−λ) limit on every
+  // draw. The precomputed per-rate plan must reproduce them bit for bit.
+  constexpr std::uint64_t kExpected[] = {
+      0xa7cf51a7e2513be4ULL, 0xb33bc6ad3c75b705ULL, 0x7bf8f172fa3f59bbULL,
+      0x087d8a54721cea33ULL, 0xca4cf4919d1cb4d9ULL, 0x5a06f4eaf0035b2cULL,
+      0x05a9a0ac4bfed845ULL,
+  };
+  for (std::size_t i = 0; i < std::size(kGoldenRates); ++i) {
+    const double lambda = kGoldenRates[i];
+    SCOPED_TRACE(lambda);
+    Rng rng(0x90d1e7ULL + i);
+    Fnv64 digest;
+    for (int k = 0; k < 10000; ++k) digest.add(poisson_draw(rng, lambda));
+    EXPECT_EQ(digest.h, kExpected[i]) << std::hex << digest.h;
+  }
+}
+
+TEST(PoissonWorkload, GoldenDeltaDigestsPinEveryRegime) {
+  // PoissonWorkload's own per-rate plans, built once at construction:
+  // each golden rate as the arrival side against a small departure
+  // rate, over a (node, round) grid, digested against the recorded
+  // per-draw implementation.
+  constexpr std::uint64_t kExpected[] = {
+      0x1bc695d5264e64b4ULL, 0x1e9a4ecbf128bd5fULL, 0x6efecccf3af2334eULL,
+      0x4d27451e9a5fa437ULL, 0x383eab63c6b6d894ULL, 0xad2526a63413dc59ULL,
+      0x50dd33770cabd928ULL,
+  };
+  for (std::size_t i = 0; i < std::size(kGoldenRates); ++i) {
+    SCOPED_TRACE(kGoldenRates[i]);
+    PoissonWorkload w({.arrival_rate = kGoldenRates[i],
+                       .departure_rate = 0.05});
+    w.reset(128, 17 + i);
+    Fnv64 digest;
+    for (Step t = 0; t < 40; ++t) {
+      for (NodeId u = 0; u < 128; ++u) digest.add(w.delta(u, t));
+    }
+    EXPECT_EQ(digest.h, kExpected[i]) << std::hex << digest.h;
+  }
+}
+
 TEST(PoissonDraw, RejectsOnlyLedgerOverflowRates) {
   Rng rng(5);
   EXPECT_THROW(poisson_draw(rng, -1.0), invariant_error);

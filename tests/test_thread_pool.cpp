@@ -1,14 +1,24 @@
 // Tests for the ThreadPool range-job primitive underneath the parallel
 // decide/apply pipeline: exact coverage of [0, total), disjoint chunks,
 // reusability across many jobs (one pool drives every simulation step),
-// and exception propagation out of worker chunks.
+// exception propagation out of worker chunks, and the thread-local
+// ThreadPool::current() an engine sets only around a workload's
+// prepare().
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "balancers/send_floor.hpp"
+#include "core/engine.hpp"
+#include "dynamics/workload.hpp"
+#include "graph/generators.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/assertions.hpp"
 #include "util/thread_pool.hpp"
 
@@ -108,6 +118,111 @@ TEST(ThreadPool, ZeroSelectsHardwareParallelism) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.parallelism(), ThreadPool::hardware_parallelism());
   EXPECT_GE(pool.parallelism(), 1);
+}
+
+TEST(ThreadPool, ScopeNestsAndRestoresOnThrow) {
+  ThreadPool outer(1);
+  ThreadPool inner(2);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  {
+    ThreadPool::Scope a(&outer);
+    EXPECT_EQ(ThreadPool::current(), &outer);
+    {
+      ThreadPool::Scope b(&inner);
+      EXPECT_EQ(ThreadPool::current(), &inner);
+      ThreadPool::Scope none(nullptr);
+      EXPECT_EQ(ThreadPool::current(), nullptr);
+    }
+    EXPECT_EQ(ThreadPool::current(), &outer);
+    EXPECT_THROW(
+        {
+          ThreadPool::Scope c(&inner);
+          throw invariant_error("scoped code failed");
+        },
+        invariant_error);
+    EXPECT_EQ(ThreadPool::current(), &outer);
+  }
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+}
+
+TEST(ThreadPool, CurrentIsThreadLocal) {
+  // Only the thread that opened the Scope sees the pool; chunk bodies
+  // running on workers see nullptr, so a body cannot re-enter the pool
+  // through current().
+  ThreadPool pool(4);
+  ThreadPool::Scope scope(&pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> wrong{0};
+  for (int job = 0; job < 20; ++job) {
+    pool.for_ranges(64, [&](std::int64_t, std::int64_t) {
+      ThreadPool* want =
+          std::this_thread::get_id() == caller ? &pool : nullptr;
+      if (ThreadPool::current() != want) wrong.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+namespace {
+
+/// Records ThreadPool::current() as seen from prepare() and delta();
+/// prepare() throws in round `throw_at`.
+class PoolProbe final : public WorkloadProcess {
+ public:
+  std::string name() const override { return "pool-probe"; }
+  void reset(NodeId, std::uint64_t) override {}
+  void prepare(Step t, std::span<const Load>) override {
+    in_prepare = ThreadPool::current();
+    if (t == throw_at) throw invariant_error("prepare failed");
+  }
+  Load delta(NodeId, Step) override {
+    if (ThreadPool::current() != nullptr) delta_saw_pool.store(true);
+    return 0;
+  }
+  bool parallel_generate_safe() const override { return true; }
+
+  ThreadPool* in_prepare = nullptr;
+  std::atomic<bool> delta_saw_pool{false};
+  Step throw_at = -1;
+};
+
+}  // namespace
+
+TEST(ThreadPool, CurrentIsLentOnlyAroundWorkloadPrepare) {
+  const Graph g = make_cycle(64);
+  SendFloor balancer;
+  Engine engine(g, EngineConfig{.self_loops = g.degree()}, balancer,
+                LoadVector(64, 3));
+  ThreadPool pool(3);
+  engine.set_thread_pool(&pool);
+  PoolProbe probe;
+  engine.set_workload(&probe);
+
+  engine.step_parallel();
+  EXPECT_EQ(probe.in_prepare, &pool);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  engine.step();  // the serial round lends nothing
+  EXPECT_EQ(probe.in_prepare, nullptr);
+  EXPECT_FALSE(probe.delta_saw_pool.load());
+
+  probe.throw_at = engine.time();
+  EXPECT_THROW(engine.step_parallel(), invariant_error);
+  EXPECT_EQ(probe.in_prepare, &pool);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+
+  // The sharded engine lends its pool the same way.
+  ShardedEngineConfig config;
+  config.self_loops = g.degree();
+  ShardedEngine sharded(g, config, balancer, LoadVector(64, 3), 4);
+  sharded.set_thread_pool(&pool);
+  PoolProbe sprobe;
+  sharded.set_workload(&sprobe);
+  sharded.step();
+  EXPECT_EQ(sprobe.in_prepare, &pool);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  sprobe.throw_at = sharded.time();
+  EXPECT_THROW(sharded.step(), invariant_error);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
 }
 
 }  // namespace
