@@ -96,7 +96,7 @@ class PoissonPlan {
 };
 
 /// Per-round load perturbation source. Attach to any round engine via
-/// RoundEngineBase::set_workload; the engine calls prepare() once per
+/// RoundDriver::set_workload; the engine calls prepare() once per
 /// round (from its stepping thread) and then delta() for every node.
 class WorkloadProcess {
  public:

@@ -1,7 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <utility>
 
 #include "graph/topology.hpp"
@@ -93,7 +93,7 @@ void Graph::verify_structure() const {
   }
   // Entry-by-entry check of the tag's arithmetic against the built
   // tables: O(n·d) integer compares, cheap next to build_reverse_ports'
-  // edge-bucket map, and the reason a structured fast path can never
+  // port sort, and the reason a structured fast path can never
   // silently disagree with the tables it skips. Implicit graphs have no
   // tables to compare against.
   if (is_implicit()) return;
@@ -113,53 +113,61 @@ void Graph::verify_structure() const {
 }
 
 void Graph::build_reverse_ports() {
-  rev_.assign(adj_.size(), -1);
-
-  // Group ports by unordered endpoint pair, then match the u→v ports with
-  // the v→u ports in order. This handles parallel edges: the k-th copy of
-  // u→v pairs with the k-th copy of v→u.
-  std::map<std::pair<NodeId, NodeId>, std::pair<std::vector<int>, std::vector<int>>>
-      buckets;
-  for (NodeId u = 0; u < n_; ++u) {
-    for (int p = 0; p < d_; ++p) {
-      const NodeId v = neighbor(u, p);
-      const auto key = std::minmax(u, v);
-      auto& bucket = buckets[{key.first, key.second}];
-      if (u == key.first) {
-        bucket.first.push_back(p + u * d_);
-      } else {
-        bucket.second.push_back(p + u * d_);
-      }
-    }
+  // One sort of port records keyed (min endpoint, max endpoint, side,
+  // flat port), side 0 for ports out of the min endpoint. Each unordered
+  // endpoint pair's records are then contiguous — its side-0 ports in port
+  // order, then its side-1 ports in port order — and the k-th u→v copy
+  // pairs with the k-th v→u copy. This handles parallel edges.
+  struct PortRecord {
+    std::uint64_t pair;  ///< min endpoint << 32 | max endpoint
+    std::uint64_t port;  ///< side << 63 | flat port id
+  };
+  constexpr std::uint64_t kSide1 = std::uint64_t{1} << 63;
+  const std::size_t entries = adj_.size();
+  const auto d = static_cast<std::size_t>(d_);
+  std::vector<PortRecord> recs(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    const std::uint64_t u = i / d;
+    const auto v = static_cast<std::uint64_t>(adj_[i]);
+    recs[i] = {std::min(u, v) << 32 | std::max(u, v), (u > v ? kSide1 : 0) | i};
   }
+  std::sort(recs.begin(), recs.end(), [](const PortRecord& a,
+                                         const PortRecord& b) {
+    return a.pair != b.pair ? a.pair < b.pair : a.port < b.port;
+  });
 
-  for (const auto& [key, bucket] : buckets) {
-    const auto& fwd = bucket.first;   // ports out of min(u,v)
-    const auto& bwd = bucket.second;  // ports out of max(u,v)
-    if (key.first == key.second) {
-      // Self-edges: all ports land in fwd; they must come in pairs (a map
+  rev_.assign(entries, -1);
+  // rev_ stores the *port index at the other endpoint*, not the flat id.
+  const auto pair_ports = [&](std::uint64_t a, std::uint64_t b) {
+    a &= ~kSide1;
+    b &= ~kSide1;
+    rev_[a] = static_cast<std::int32_t>(b % d);
+    rev_[b] = static_cast<std::int32_t>(a % d);
+  };
+  for (std::size_t lo = 0; lo < entries;) {
+    std::size_t hi = lo;
+    std::size_t fwd = 0;  // ports out of the min endpoint
+    for (; hi < entries && recs[hi].pair == recs[lo].pair; ++hi) {
+      if ((recs[hi].port & kSide1) == 0) ++fwd;
+    }
+    const std::size_t count = hi - lo;
+    if ((recs[lo].pair >> 32) == (recs[lo].pair & 0xffffffffu)) {
+      // Self-edges: all ports are side 0; they must come in pairs (a map
       // fixing a point is always accompanied by its inverse) and are
       // paired consecutively with each other.
-      DLB_REQUIRE(bwd.empty() && fwd.size() % 2 == 0,
-                  "self-edge ports must come in pairs");
-      for (std::size_t k = 0; k + 1 < fwd.size(); k += 2) {
-        rev_[static_cast<std::size_t>(fwd[k])] =
-            static_cast<std::int32_t>(fwd[k + 1] % d_);
-        rev_[static_cast<std::size_t>(fwd[k + 1])] =
-            static_cast<std::int32_t>(fwd[k] % d_);
+      DLB_REQUIRE(count % 2 == 0, "self-edge ports must come in pairs");
+      for (std::size_t k = lo; k < hi; k += 2) {
+        pair_ports(recs[k].port, recs[k + 1].port);
       }
-      continue;
+    } else {
+      DLB_REQUIRE(2 * fwd == count,
+                  "graph is not symmetric: directed edge multiset mismatch");
+      if (fwd > 1) has_parallel_ = true;
+      for (std::size_t k = 0; k < fwd; ++k) {
+        pair_ports(recs[lo + k].port, recs[lo + fwd + k].port);
+      }
     }
-    DLB_REQUIRE(fwd.size() == bwd.size(),
-                "graph is not symmetric: directed edge multiset mismatch");
-    if (fwd.size() > 1) has_parallel_ = true;
-    for (std::size_t k = 0; k < fwd.size(); ++k) {
-      // rev_ stores the *port index at the other endpoint*, not the flat id.
-      rev_[static_cast<std::size_t>(fwd[k])] =
-          static_cast<std::int32_t>(bwd[k] % d_);
-      rev_[static_cast<std::size_t>(bwd[k])] =
-          static_cast<std::int32_t>(fwd[k] % d_);
-    }
+    lo = hi;
   }
 
   for (std::size_t i = 0; i < rev_.size(); ++i) {

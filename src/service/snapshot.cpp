@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "dynamics/workload.hpp"
 #include "graph/topology.hpp"
@@ -83,29 +84,35 @@ EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
   s.adjacency_hash_ = hash_adjacency(g);
   s.graph_name_ = g.name();
   s.balancer_name_ = engine.balancer().name();
-  s.time_ = engine.time();
+  s.capture_state(engine, tracker);
+  return s;
+}
+
+template <class EngineT>
+void EngineSnapshot::capture_state(const EngineT& engine,
+                                   const SteadyStateTracker* tracker) {
+  time_ = engine.time();
 
   StateWriter core;
   engine.save_core_state(core);
-  s.core_blob_ = core.take();
+  core_blob_ = core.take();
 
   StateWriter bal;
   engine.balancer().save_state(bal);
-  s.balancer_blob_ = bal.take();
+  balancer_blob_ = bal.take();
 
   if (const WorkloadProcess* w = engine.workload()) {
-    s.workload_name_ = w->name();
+    workload_name_ = w->name();
     StateWriter ww;
     w->save_state(ww);
-    s.workload_blob_ = ww.take();
+    workload_blob_ = ww.take();
   }
   if (tracker != nullptr) {
-    s.has_tracker_ = true;
+    has_tracker_ = true;
     StateWriter tw;
     tracker->save_state(tw);
-    s.tracker_blob_ = tw.take();
+    tracker_blob_ = tw.take();
   }
-  return s;
 }
 
 EngineSnapshot EngineSnapshot::capture(const Engine& engine,
@@ -154,8 +161,35 @@ void EngineSnapshot::restore_impl(EngineT& engine,
             : "snapshot restore: a tracker was supplied but the snapshot "
               "carries none");
 
-  // Apply component blobs in order. Each load_state validates sizes and
-  // ranges before assigning, and each blob must be consumed exactly.
+  // Component blobs apply one after another, so a blob that fails late
+  // (a trailing byte, an out-of-range rotor position) would leave the
+  // ones before it applied. On any throw, re-apply a capture of the
+  // target's own state, then rethrow: a failed restore leaves the
+  // engine, its balancer, its workload and the tracker untouched.
+  EngineSnapshot rollback;
+  rollback.capture_state(engine, tracker);
+  std::vector<int> dead;  // killed shards stay dead: their slices are gone
+  if constexpr (std::is_same_v<EngineT, ShardedEngine>) {
+    for (int s = 0; s < engine.shards(); ++s) {
+      if (engine.shard_dead(s)) dead.push_back(s);
+    }
+  }
+  try {
+    apply_state(engine, tracker);
+  } catch (...) {
+    rollback.apply_state(engine, tracker);
+    if constexpr (std::is_same_v<EngineT, ShardedEngine>) {
+      for (const int s : dead) engine.kill_shard(s);
+    }
+    throw;
+  }
+}
+
+template <class EngineT>
+void EngineSnapshot::apply_state(EngineT& engine,
+                                 SteadyStateTracker* tracker) const {
+  // Each load_state validates sizes and ranges before assigning, and each
+  // blob must be consumed exactly.
   {
     StateReader r(core_blob_);
     engine.load_core_state(r);

@@ -24,7 +24,9 @@
 // or a fingerprint that does not match the restore target. Component
 // blobs are then applied in order; each component validates sizes and
 // ranges before assigning, and each blob must be consumed exactly
-// (expect_done), so a save/load asymmetry is an error, not a skew.
+// (expect_done), so a save/load asymmetry is an error, not a skew. A blob
+// that fails after earlier ones were applied rolls the target back to
+// its pre-restore state before the error propagates.
 #pragma once
 
 #include <cstdint>
@@ -65,17 +67,21 @@ class EngineSnapshot {
   /// Restores into an engine built over the *same* graph, self-loop
   /// count, balancer scheme, and workload configuration as the captured
   /// one (verified via the fingerprint — names, sizes, structure tag,
-  /// and the adjacency-table hash). All validation happens before any
-  /// state is touched; on success the engine, its balancer, its
-  /// workload, and the tracker continue exactly as the captured run
-  /// would have. Throws serial_error on any mismatch. A tracker must be
-  /// supplied iff the snapshot carries one.
+  /// and the adjacency-table hash) before any state is touched. A
+  /// component blob that then fails its own checks (a trailing byte, an
+  /// out-of-range balancer field) rolls back the components already
+  /// applied: a failed restore leaves the engine, its balancer, its
+  /// workload, and the tracker untouched. On success they continue
+  /// exactly as the captured run would have. Throws serial_error on any
+  /// mismatch (a component's range check may throw invariant_error). A
+  /// tracker must be supplied iff the snapshot carries one.
   void restore(Engine& engine, SteadyStateTracker* tracker = nullptr) const;
 
   /// Restores into a sharded engine over the same run configuration, at
   /// *any* shard count — the image carries no trace of the one it was
   /// taken at. The flat load vector is scattered into the target's shard
-  /// windows.
+  /// windows. Same all-or-nothing contract; a killed shard stays dead
+  /// when the restore fails.
   void restore(ShardedEngine& engine,
                SteadyStateTracker* tracker = nullptr) const;
 
@@ -121,6 +127,13 @@ class EngineSnapshot {
                                      const SteadyStateTracker* tracker);
   template <class EngineT>
   void restore_impl(EngineT& engine, SteadyStateTracker* tracker) const;
+  /// The stepping-state half of capture/restore: the clock and the four
+  /// component blobs (core, balancer, workload, tracker), no fingerprint.
+  /// restore_impl also uses it for its rollback capture of the target.
+  template <class EngineT>
+  void capture_state(const EngineT& engine, const SteadyStateTracker* tracker);
+  template <class EngineT>
+  void apply_state(EngineT& engine, SteadyStateTracker* tracker) const;
 
   NodeId n_ = 0;
   int d_ = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,13 +18,6 @@
 namespace dlb {
 
 namespace {
-
-std::uint64_t mono_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Phase-latency histograms of the sharded engine (leaked; see
 /// MetricsRegistry::instance).
@@ -124,14 +116,10 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
     : g_(&g), config_(config), balancer_(&balancer),
       part_(g.num_nodes(), shards) {
   DLB_REQUIRE(config_.self_loops >= 0, "self_loops must be non-negative");
-  DLB_REQUIRE(config_.conservation_interval >= 1,
-              "sharded engine: audit interval must be >= 1");
   DLB_REQUIRE(config_.fault.max_retries >= 0,
               "sharded engine: negative retry budget");
   DLB_REQUIRE(initial.size() == static_cast<std::size_t>(g.num_nodes()),
               "initial load vector has wrong size");
-  audit_ = ConservationPolicy{config_.check_conservation,
-                              config_.conservation_interval};
   if (channel != nullptr) {
     DLB_REQUIRE(channel->shard_count() == part_.shards(),
                 "sharded engine: channel endpoint count != shard count");
@@ -185,42 +173,12 @@ ShardedEngine::ShardedEngine(const Graph& g, ShardedEngineConfig config,
         "Bytes this shard drained from the cross-shard channel.", labels);
   }
 
-  // Statistics adoption, mirroring RoundEngineBase::adopt_loads.
-  total_ = total_load(initial);
-  base_total_ = total_;
-  const auto [lo, hi] = std::minmax_element(initial.begin(), initial.end());
-  min_load_ = *lo;
-  max_load_ = *hi;
-  min_load_seen_ = min_load_;
-  stats_dirty_ = false;
+  adopt(ConservationPolicy{config_.check_conservation,
+                           config_.conservation_interval},
+        static_cast<std::size_t>(part_.num_nodes()));
 }
 
 ShardedEngine::~ShardedEngine() = default;
-
-std::uint64_t ShardedEngine::round_begin() const noexcept {
-  if (!obs::metrics_armed()) return 0;
-  return mono_ns();
-}
-
-void ShardedEngine::round_end(std::uint64_t start_ns) {
-  if (start_ns == 0) return;
-  if (!telemetry_) {
-    telemetry_ = std::make_unique<obs::EngineTelemetry>("sharded");
-  }
-  obs::EngineTelemetry& tel = *telemetry_;
-  tel.rounds.inc();
-  tel.round_seconds.observe(static_cast<double>(mono_ns() - start_ns) * 1e-9);
-  tel.time.set(t_);
-  tel.injected.set(injected_total_);
-  tel.consumed.set(consumed_total_);
-  // Cached stats only — never refresh from here (deferred-stats history
-  // must be identical with telemetry on or off).
-  if (!stats_dirty_) {
-    tel.min_load.set(min_load_);
-    tel.max_load.set(max_load_);
-    tel.discrepancy.set(max_load_ - min_load_);
-  }
-}
 
 void ShardedEngine::build_tier1_plan() {
   const int k = part_.shards();
@@ -304,8 +262,9 @@ void ShardedEngine::build_tier2_plan() {
 template <class Body>
 void ShardedEngine::for_shards(bool parallel_ok, Body&& body) {
   const int k = part_.shards();
-  if (parallel_ok && pool_ != nullptr && pool_->parallelism() > 1 && k > 1) {
-    pool_->for_ranges(k, [&](std::int64_t first, std::int64_t last) {
+  ThreadPool* pool = thread_pool();
+  if (parallel_ok && pool != nullptr && pool->parallelism() > 1 && k > 1) {
+    pool->for_ranges(k, [&](std::int64_t first, std::int64_t last) {
       for (std::int64_t s = first; s < last; ++s) body(static_cast<int>(s));
     });
   } else {
@@ -335,83 +294,51 @@ Load ShardedEngine::load_of(NodeId u) const {
 }
 
 void ShardedEngine::apply_workload() {
-  if (workload_ == nullptr) return;
+  WorkloadProcess* workload = this->workload();
+  if (workload == nullptr) return;
+  const Step t = time();
   // The serial prepare hook sees the global loads only when it actually
   // reads them (the adversarial argmax scan) — otherwise the O(n) gather
   // is skipped and the span is empty.
-  const std::span<const Load> loads = workload_->prepare_reads_loads()
+  const std::span<const Load> loads = workload->prepare_reads_loads()
                                           ? gather_into_scratch()
                                           : std::span<const Load>();
   {
     // Lend the engine's pool to prepare(), as the flat engine does.
-    ThreadPool::Scope scope(pool_);
-    workload_->prepare(t_, loads);
+    ThreadPool::Scope scope(thread_pool());
+    workload->prepare(t, loads);
   }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const bool logging = input_log_ != nullptr;
-  if (const std::vector<NodeId>* sparse = workload_->affected_nodes()) {
-    Load inj = 0;
-    Load con = 0;
-    for (const NodeId u : *sparse) {
-      DLB_REQUIRE(u >= 0 && u < part_.num_nodes(),
-                  "workload affected node out of range");
-      const Load d = workload_->delta(u, t_);
-      Shard& sh = shards_[static_cast<std::size_t>(part_.owner(u))];
-      Load& x = sh.window[static_cast<std::size_t>(w + (u - sh.begin))];
-      if (d > 0) {
-        x += d;
-        inj += d;
-        if (logging) sh.log_scratch.workload.emplace_back(u, d);
-      } else if (d < 0) {
-        const Load take = std::min(-d, std::max<Load>(x, 0));
-        x -= take;
-        con += take;
-        if (logging && take != 0) {
-          sh.log_scratch.workload.emplace_back(u, -take);
-        }
-      }
+  // Applies node u's delta on its owning shard (logged post-truncation).
+  const auto apply = [&](Shard& sh, NodeId u, ChurnTally& churn) {
+    const Load applied =
+        churn.apply(sh.window[static_cast<std::size_t>(w + (u - sh.begin))],
+                    workload->delta(u, t));
+    if (logging && applied != 0) {
+      sh.log_scratch.workload.emplace_back(u, applied);
     }
-    injected_total_ += inj;
-    consumed_total_ += con;
-    total_ += inj - con;
+  };
+  if (const std::vector<NodeId>* sparse = workload->affected_nodes()) {
+    ChurnTally churn;
+    for (const NodeId u : *sparse) {
+      require_affected_node(u, static_cast<std::size_t>(part_.num_nodes()));
+      apply(shards_[static_cast<std::size_t>(part_.owner(u))], u, churn);
+    }
+    record_churn(churn);
     return;
   }
   // Dense: per-shard partials, combined with commutative integer adds —
   // identical totals for any shard count or pool size (the flat engine's
   // per-chunk argument, with shards as the chunks).
-  for_shards(workload_->parallel_generate_safe(), [&](int s) {
+  for_shards(workload->parallel_generate_safe(), [&](int s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
-    Load inj = 0;
-    Load con = 0;
-    for (NodeId i = 0; i < sh.size; ++i) {
-      const NodeId u = sh.begin + i;
-      const Load d = workload_->delta(u, t_);
-      Load& x = sh.window[static_cast<std::size_t>(w + i)];
-      if (d > 0) {
-        x += d;
-        inj += d;
-        if (logging) sh.log_scratch.workload.emplace_back(u, d);
-      } else if (d < 0) {
-        const Load take = std::min(-d, std::max<Load>(x, 0));
-        x -= take;
-        con += take;
-        if (logging && take != 0) {
-          sh.log_scratch.workload.emplace_back(u, -take);
-        }
-      }
+    sh.churn = ChurnTally{};
+    for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
+      apply(sh, u, sh.churn);
     }
-    sh.inj = inj;
-    sh.con = con;
   });
-  Load inj = 0;
-  Load con = 0;
-  for (const Shard& sh : shards_) {
-    inj += sh.inj;
-    con += sh.con;
-  }
-  injected_total_ += inj;
-  consumed_total_ += con;
-  total_ += inj - con;
+  for (const Shard& sh : shards_) record_churn(sh.churn);
 }
 
 void ShardedEngine::post_frame(int from, int to, ShardTag tag,
@@ -419,8 +346,8 @@ void ShardedEngine::post_frame(int from, int to, ShardTag tag,
                                std::span<const std::byte> payload) {
   Shard& sh = shards_[static_cast<std::size_t>(from)];
   sh.frame_scratch.clear();
-  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(tag), from, t_ + 1,
-               seq, total, payload);
+  append_frame(sh.frame_scratch, static_cast<std::uint8_t>(tag), from,
+               time() + 1, seq, total, payload);
   channel_->post(from, to, tag,
                  std::span<const std::byte>(sh.frame_scratch.data(),
                                             sh.frame_scratch.size()));
@@ -467,7 +394,7 @@ bool ShardedEngine::inbound_complete(int s) const {
 void ShardedEngine::drain_frames(int s, ShardTag tag) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   ShardProtocol& proto = shard_protocol();
-  const std::int64_t round = t_ + 1;
+  const std::int64_t round = time() + 1;
   const int k = part_.shards();
   channel_->drain(
       s, tag, [&](int from, std::span<const std::byte> bytes) {
@@ -548,7 +475,7 @@ void ShardedEngine::collect_frames(ShardTag tag) {
           "sharded engine: frame stream " + std::to_string(missing_from) +
           " -> " + std::to_string(missing_to) + " (tag " +
           std::to_string(static_cast<int>(tag)) + ", round " +
-          std::to_string(t_ + 1) + ") still incomplete after " +
+          std::to_string(time() + 1) + ") still incomplete after " +
           std::to_string(attempt) + " re-post attempt(s) — sender lost?");
     }
     proto.retries.inc();
@@ -846,16 +773,15 @@ void ShardedEngine::backoff(int attempt) const {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
 
-void ShardedEngine::step() {
+void ShardedEngine::advance(ThreadPool* /*pool*/) {
   DLB_REQUIRE(dead_count_ == 0,
               "sharded engine: cannot step with a dead shard — the "
               "supervisor must recover it first");
-  const std::uint64_t obs_t0 = round_begin();
-  obs::TraceSpan round_span("round", "sharded", "t", t_ + 1);
+  const Step t = time();
   // Round barrier notification: deferred transport state (a fault
   // injector's delayed frames) surfaces now, before any post of this
   // round.
-  channel_->begin_round(t_ + 1);
+  channel_->begin_round(t + 1);
   if (input_log_ != nullptr) {
     for (Shard& sh : shards_) {
       sh.log_scratch.workload.clear();
@@ -865,7 +791,7 @@ void ShardedEngine::step() {
   apply_workload();
   {
     obs::PhaseScope phase(shard_phases().prepare, "prepare", "sharded", "t",
-                          t_ + 1);
+                          t + 1);
     // Serial once-per-round hook, before any shard decides — exactly the
     // decide_all contract. The sink exists only to convey graph/mode (no
     // built-in prepare_round writes flows); global loads are gathered
@@ -874,56 +800,47 @@ void ShardedEngine::step() {
                                             ? gather_into_scratch()
                                             : std::span<const Load>();
     FlowSink sink(*g_, config_.self_loops, &shards_[0].acc);
-    balancer_->prepare_round(loads, t_, sink);
+    balancer_->prepare_round(loads, t, sink);
   }
   const bool parallel_decide = balancer_->parallel_decide_safe();
   if (reach_ >= 0) {
     {
       obs::PhaseScope phase(shard_phases().halo, "halo", "sharded", "t",
-                            t_ + 1);
+                            t + 1);
       exchange_halos();
     }
     obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
-                          t_ + 1);
-    for_shards(parallel_decide, [&](int s) { decide_shard(s, t_); });
+                          t + 1);
+    for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
   } else {
     {
       // Serial shard order when the balancer is not parallel-safe keeps
       // e.g. a sequential RNG stream in ascending node order — the same
       // trajectory as the flat serial engine.
       obs::PhaseScope phase(shard_phases().decide, "decide", "sharded", "t",
-                            t_ + 1);
-      for_shards(parallel_decide, [&](int s) { decide_shard(s, t_); });
+                            t + 1);
+      for_shards(parallel_decide, [&](int s) { decide_shard(s, t); });
     }
     obs::PhaseScope phase(shard_phases().drain, "drain", "sharded", "t",
-                          t_ + 1);
+                          t + 1);
     drain_flows();
   }
-  Load lo = std::numeric_limits<Load>::max();
-  Load hi = std::numeric_limits<Load>::min();
+  LoadScan round;
   for (const Shard& sh : shards_) {
-    lo = std::min(lo, sh.round_min);
-    hi = std::max(hi, sh.round_max);
+    round.lo = std::min(round.lo, sh.round_min);
+    round.hi = std::max(round.hi, sh.round_max);
   }
-  round_min_ = lo;
-  round_max_ = hi;
-  round_stats_valid_ = true;
-  after_step();
-  if (input_log_ != nullptr) {
-    // After after_step so `round` is the committed round number — the
-    // supervisor's log and the engine clock can never disagree.
-    for (int s = 0; s < part_.shards(); ++s) {
-      input_log_->record_round(s, t_,
-                               shards_[static_cast<std::size_t>(s)]
-                                   .log_scratch);
-    }
-  }
-  round_end(obs_t0);
+  publish_round_stats(round.lo, round.hi);
 }
 
-void ShardedEngine::run(Step steps) {
-  DLB_REQUIRE(steps >= 0, "run: negative step count");
-  for (Step i = 0; i < steps; ++i) step();
+void ShardedEngine::after_commit() {
+  if (input_log_ == nullptr) return;
+  // After the clock committed, so `round` is the committed round number
+  // — the supervisor's log and the engine clock can never disagree.
+  for (int s = 0; s < part_.shards(); ++s) {
+    input_log_->record_round(s, time(),
+                             shards_[static_cast<std::size_t>(s)].log_scratch);
+  }
 }
 
 void ShardedEngine::kill_shard(int s) {
@@ -958,7 +875,7 @@ void ShardedEngine::recover_shard(int s, Step t0,
   DLB_REQUIRE(loads_at_t0.size() ==
                   static_cast<std::size_t>(part_.num_nodes()),
               "recover_shard: checkpoint load vector has wrong size");
-  DLB_REQUIRE(t0 >= 0 && t0 + static_cast<Step>(rounds.size()) == t_,
+  DLB_REQUIRE(t0 >= 0 && t0 + static_cast<Step>(rounds.size()) == time(),
               "recover_shard: round inputs do not span t0+1 .. now");
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   const NodeId w = reach_ >= 0 ? reach_ : 0;
@@ -1002,54 +919,15 @@ void ShardedEngine::recover_shard(int s, Step t0,
   --dead_count_;
 }
 
-void ShardedEngine::refresh_stats(bool audit_total) const {
+LoadScan ShardedEngine::scan_loads(bool with_sum) const {
   const NodeId w = reach_ >= 0 ? reach_ : 0;
-  Load lo = std::numeric_limits<Load>::max();
-  Load hi = std::numeric_limits<Load>::min();
-  Load sum = 0;
+  LoadScan scan;
   for (const Shard& sh : shards_) {
-    const Load* x = sh.window.data() + w;
-    if (audit_total) {
-      for (NodeId i = 0; i < sh.size; ++i) {
-        lo = std::min(lo, x[i]);
-        hi = std::max(hi, x[i]);
-        sum += x[i];
-      }
-    } else {
-      for (NodeId i = 0; i < sh.size; ++i) {
-        lo = std::min(lo, x[i]);
-        hi = std::max(hi, x[i]);
-      }
-    }
+    scan.add(std::span<const Load>(sh.window.data() + w,
+                                   static_cast<std::size_t>(sh.size)),
+             with_sum);
   }
-  if (audit_total) {
-    DLB_REQUIRE(sum == total_, "token conservation violated by engine step");
-  }
-  min_load_ = lo;
-  max_load_ = hi;
-  min_load_seen_ = std::min(min_load_seen_, lo);
-  stats_dirty_ = false;
-}
-
-void ShardedEngine::after_step() {
-  // Mirrors RoundEngineBase::after_step so the sharded observable
-  // history (min/max/min_seen/dirty) is bit-equal to the flat engine's.
-  ++t_;
-  const bool audit =
-      audit_.enabled && (audit_.interval == 1 || t_ % audit_.interval == 0);
-  if (audit) {
-    refresh_stats(true);
-  } else if (round_stats_valid_) {
-    min_load_ = round_min_;
-    max_load_ = round_max_;
-    min_load_seen_ = std::min(min_load_seen_, round_min_);
-    stats_dirty_ = false;
-  } else if (deferred_stats_) {
-    stats_dirty_ = true;
-  } else {
-    refresh_stats(false);
-  }
-  round_stats_valid_ = false;
+  return scan;
 }
 
 std::size_t ShardedEngine::shard_resident_bytes(int s) const {
@@ -1075,23 +953,11 @@ std::uint64_t ShardedEngine::shard_cut_edges(int s) const {
   return shards_[static_cast<std::size_t>(s)].cut_edges;
 }
 
-void ShardedEngine::save_core_state(StateWriter& w) const {
-  // Field-for-field the RoundEngineBase layout: a k-shard snapshot IS a
-  // flat snapshot (and restores into any shard count, or the flat
-  // engine, unchanged).
+void ShardedEngine::write_loads(StateWriter& w) const {
   w.vec_i64(gather_into_scratch());
-  w.i64(t_);
-  w.i64(total_);
-  w.i64(base_total_);
-  w.i64(injected_total_);
-  w.i64(consumed_total_);
-  w.i64(min_load_);
-  w.i64(max_load_);
-  w.i64(min_load_seen_);
-  w.b(stats_dirty_);
 }
 
-void ShardedEngine::load_core_state(StateReader& r) {
+void ShardedEngine::read_loads(StateReader& r) {
   const std::vector<std::int64_t> loads = r.vec_i64();
   if (loads.size() != static_cast<std::size_t>(part_.num_nodes())) {
     throw serial_error("engine core state: load vector size mismatch");
@@ -1101,18 +967,6 @@ void ShardedEngine::load_core_state(StateReader& r) {
     std::copy(loads.begin() + sh.begin, loads.begin() + sh.begin + sh.size,
               sh.window.begin() + w);
   }
-  t_ = r.i64();
-  total_ = r.i64();
-  base_total_ = r.i64();
-  injected_total_ = r.i64();
-  consumed_total_ = r.i64();
-  min_load_ = r.i64();
-  max_load_ = r.i64();
-  min_load_seen_ = r.i64();
-  stats_dirty_ = r.b();
-  round_stats_valid_ = false;
-  // A full-state restore redefines every slice — any killed shard is
-  // alive again (this is the supervisor's rollback recovery).
   std::fill(dead_.begin(), dead_.end(), 0);
   dead_count_ = 0;
 }

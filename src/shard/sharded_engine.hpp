@@ -32,13 +32,20 @@
 //   skip the owner test entirely. int64 flow adds commute exactly, so the
 //   drain order never shows in the result.
 //
+// The round ledger is not this engine's own: it is a RoundDriver (see
+// core/round_engine.hpp), so the clock, conservation ledger and audit,
+// deferred statistics, telemetry, run loops and save/load_core_state are
+// the ones the flat engines use. This class supplies the round
+// (advance) and the storage hooks over the shard windows: the fused
+// scan, the flat core-state load vector (owned slices gathered in shard
+// order), and the post-commit input log.
+//
 // Equivalence contract (golden-tested): for every registered balancer,
 // graph family, and workload, a k-shard run is byte-identical to the
 // 1-shard run and to the flat Engine — same loads trajectory, same
 // conservation ledger, same min/max history. save_core_state emits the
-// exact byte stream RoundEngineBase does (owned slices gathered in shard
-// order = the flat load vector), so snapshots move freely between the
-// flat engine and any shard count.
+// exact byte stream the flat engine does, so snapshots move freely
+// between the flat engine and any shard count.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +58,7 @@
 #include "core/balancer.hpp"
 #include "core/epoch_accumulator.hpp"
 #include "core/load_vector.hpp"
-#include "core/round_engine.hpp"  // ConservationPolicy
+#include "core/round_engine.hpp"
 #include "graph/graph.hpp"
 #include "graph/topology.hpp"  // ShardPartition
 #include "shard/channel.hpp"
@@ -63,10 +70,7 @@ namespace obs {
 class Counter;
 }  // namespace obs
 
-class ThreadPool;
-class WorkloadProcess;
-
-/// Mirrors EngineConfig for the sharded substrate (flow matrices and the
+/// EngineConfig's counterpart for the sharded substrate (flow matrices and the
 /// assign-first protocol are flat-engine concerns; shards always scatter).
 struct ShardedEngineConfig {
   int self_loops = 0;            ///< d° self-loops per node
@@ -109,7 +113,7 @@ class ShardInputLog {
                             const ShardRoundInputs& inputs) = 0;
 };
 
-class ShardedEngine {
+class ShardedEngine : public RoundDriver {
  public:
   /// Partitions `initial` (size n) into `shards` contiguous slices.
   /// `balancer` is not owned and must outlive the engine (same contract
@@ -120,10 +124,7 @@ class ShardedEngine {
                 Balancer& balancer, const LoadVector& initial, int shards,
                 ShardChannel* channel = nullptr);
 
-  ~ShardedEngine();
-
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
+  ~ShardedEngine() override;
 
   const Graph& graph() const noexcept { return *g_; }
   const ShardedEngineConfig& config() const noexcept { return config_; }
@@ -139,47 +140,6 @@ class ShardedEngine {
   bool windowed() const noexcept { return reach_ >= 0; }
   /// Halo width W in ring slots (tier 1), or −1 on the tier-2 path.
   NodeId halo_reach() const noexcept { return reach_; }
-
-  /// Attaches a worker pool (not owned; nullptr detaches). Shards then
-  /// run their round phases concurrently — byte-identically to the
-  /// serial shard order at any pool size.
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
-  ThreadPool* thread_pool() const noexcept { return pool_; }
-
-  /// Attaches an online workload (not owned; nullptr detaches) — same
-  /// injection/consumption semantics and conservation ledger as
-  /// RoundEngineBase::set_workload.
-  void set_workload(WorkloadProcess* workload) noexcept {
-    workload_ = workload;
-  }
-  WorkloadProcess* workload() const noexcept { return workload_; }
-
-  /// Executes one synchronous round (workload churn, halo/flow exchange,
-  /// decide, apply, audit) across all shards.
-  void step();
-  /// Executes `steps` rounds.
-  void run(Step steps);
-
-  Step time() const noexcept { return t_; }
-  Load total() const noexcept { return total_; }
-  Load base_total() const noexcept { return base_total_; }
-  Load injected_total() const noexcept { return injected_total_; }
-  Load consumed_total() const noexcept { return consumed_total_; }
-  double average() const {
-    return static_cast<double>(total_) / static_cast<double>(part_.num_nodes());
-  }
-  Load discrepancy() const noexcept {
-    refresh_if_dirty();
-    return max_load_ - min_load_;
-  }
-  Load min_load_seen() const noexcept {
-    refresh_if_dirty();
-    return min_load_seen_;
-  }
-  /// Same deferral semantics as RoundEngineBase::set_deferred_stats.
-  void set_deferred_stats(bool deferred) noexcept {
-    deferred_stats_ = deferred;
-  }
 
   /// Load of global node u (window lookup; O(1)). For tests and probes.
   Load load_of(NodeId u) const;
@@ -200,17 +160,6 @@ class ShardedEngine {
   /// Edges of shard s whose other endpoint lives on another shard (the
   /// edge cut; 0 on the tier-1 path, where no flow ever crosses).
   std::uint64_t shard_cut_edges(int s) const;
-
-  /// Byte-identical to RoundEngineBase::save_core_state on the flat
-  /// engine holding the same run — the owned slices are gathered in
-  /// shard order into one flat load vector before serialization.
-  void save_core_state(StateWriter& w) const;
-  /// Restores what save_core_state (or a flat engine's) captured,
-  /// scattering the flat load vector into the shard windows; throws
-  /// serial_error on size mismatch before mutating anything. Also
-  /// revives any killed shard — a full-state restore redefines every
-  /// slice, which is exactly the supervisor's rollback recovery.
-  void load_core_state(StateReader& r);
 
   // --- fault-tolerance surface (driven by ShardSupervisor) -----------
 
@@ -286,8 +235,7 @@ class ShardedEngine {
     ShardRoundInputs log_scratch;  ///< this round's inputs (when logging)
     Load round_min = 0;        ///< this round's emitted min (merged later)
     Load round_max = 0;
-    Load inj = 0;              ///< this round's workload partials
-    Load con = 0;
+    ChurnTally churn;          ///< this round's workload partials
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
   };
@@ -344,17 +292,22 @@ class ShardedEngine {
   template <class Body>
   void for_shards(bool parallel_ok, Body&& body);
 
-  /// One fused pass over all owned slots: min/max always, Σx when
-  /// auditing (mirrors RoundEngineBase::refresh_stats).
-  void refresh_stats(bool audit_total) const;
-  void refresh_if_dirty() const {
-    if (stats_dirty_) refresh_stats(false);
-  }
-  void after_step();
-  /// Metrics begin/commit around one round — the RoundEngineBase
-  /// contract verbatim: observe cached state only, never force a refresh.
-  std::uint64_t round_begin() const noexcept;
-  void round_end(std::uint64_t start_ns);
+  // --- RoundDriver hooks ---------------------------------------------
+  const char* engine_kind() const noexcept override { return "sharded"; }
+  /// One round across all shards: workload churn, halo/flow exchange,
+  /// decide, apply. Shards run on the attached pool on both step() and
+  /// step_parallel(), so the round's `pool` argument is not consulted.
+  void advance(ThreadPool* pool) override;
+  /// Fused scan over the owned slots of every shard.
+  LoadScan scan_loads(bool with_sum) const override;
+  /// The owned slices gathered in shard order: the flat engine's bytes.
+  void write_loads(StateWriter& w) const override;
+  /// Scatters the flat vector into the shard windows and revives any
+  /// killed shard — a full-state restore redefines every slice, which is
+  /// exactly the supervisor's rollback recovery.
+  void read_loads(StateReader& r) override;
+  /// Hands each shard's round inputs to the attached input log.
+  void after_commit() override;
 
   /// Gathers the owned slices into scratch_ and returns a span over it
   /// (for prepare hooks that read the global loads).
@@ -370,29 +323,10 @@ class ShardedEngine {
   std::vector<Shard> shards_;
   mutable LoadVector scratch_;  ///< global gather buffer (lazily sized)
 
-  Step t_ = 0;
-  Load total_ = 0;
-  Load base_total_ = 0;
-  Load injected_total_ = 0;
-  Load consumed_total_ = 0;
-  mutable Load min_load_ = 0;
-  mutable Load max_load_ = 0;
-  mutable Load min_load_seen_ = 0;
-  mutable bool stats_dirty_ = false;
-  bool deferred_stats_ = false;
-  Load round_min_ = 0;
-  Load round_max_ = 0;
-  bool round_stats_valid_ = false;
-  ConservationPolicy audit_;
-  ThreadPool* pool_ = nullptr;
-  WorkloadProcess* workload_ = nullptr;
   bool lossless_ = true;           ///< cached channel_->lossless()
   std::vector<std::uint8_t> dead_;  ///< killed shards awaiting recovery
   int dead_count_ = 0;
   ShardInputLog* input_log_ = nullptr;
-  /// Lazily-registered metric handles (null until a round runs with the
-  /// registry armed).
-  std::unique_ptr<obs::EngineTelemetry> telemetry_;
 };
 
 }  // namespace dlb

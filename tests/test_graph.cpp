@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -44,6 +45,63 @@ TEST(Graph, ParallelEdgesPairedConsistently) {
   const Graph g(2, 2, {1, 1, 0, 0});
   EXPECT_TRUE(g.has_parallel_edges());
   EXPECT_EQ(verify_regular_symmetric(g), 2);
+}
+
+/// FNV-1a over every reverse-port entry, in layout order.
+std::uint64_t rev_port_hash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (int p = 0; p < g.degree(); ++p) {
+      const auto v = static_cast<std::uint32_t>(g.rev_port(u, p));
+      for (int byte = 0; byte < 4; ++byte) {
+        h ^= static_cast<std::uint8_t>(v >> (8 * byte));
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Graph, ReversePortTablesArePinnedPerFamily) {
+  // Pinned reverse-port tables of every generator family. The pairing
+  // rule — the k-th u→v copy pairs with the k-th v→u copy, self-edge
+  // ports pair consecutively in port order — fixes which parallel edge a
+  // flow returns on, so any change to it moves these hashes.
+  struct Case {
+    const char* what;
+    Graph g;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"cycle 7", make_cycle(7), 2975428403122310404ULL},
+      {"torus 4x5", make_torus2d(4, 5), 3714102980778008613ULL},
+      {"torus 3x4x5", make_torus({3, 4, 5}), 13244463086040309989ULL},
+      {"hypercube 5", make_hypercube(5), 11009810286737080613ULL},
+      {"complete 6", make_complete(6), 11038465375673807141ULL},
+      {"circulant 10 {1,2,5}", make_circulant(10, {1, 2, 5}),
+       628106132010063493ULL},
+      {"clique-circulant 12/5", make_clique_circulant(12, 5),
+       4621248547570876005ULL},
+      {"de Bruijn 2^4", make_debruijn(2, 4), 1743707800243811141ULL},
+      {"de Bruijn 3^3", make_debruijn(3, 3), 6348755677132059844ULL},
+      {"Petersen", make_petersen(), 8736563879902632693ULL},
+      {"K_{4,4}", make_complete_bipartite(4), 9083288107186708901ULL},
+      {"Margulis 5", make_margulis(5), 6019786755181796133ULL},
+      {"Margulis 8", make_margulis(8), 11858406337278460709ULL},
+      {"random regular 50/4", make_random_regular(50, 4, 3),
+       9742316308484407813ULL},
+      {"random regular 64/3", make_random_regular(64, 3, 7),
+       13633233997594750853ULL},
+      {"two-node parallel edges", Graph(2, 2, {1, 1, 0, 0}),
+       3663476130010556485ULL},
+      {"two-node parallel and self edges",
+       Graph(2, 4, {0, 1, 0, 1, 1, 0, 0, 1}, "multi", true),
+       15336147123399314949ULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(rev_port_hash(c.g), c.hash) << c.what;
+    EXPECT_EQ(verify_regular_symmetric(c.g), c.g.degree()) << c.what;
+  }
 }
 
 // ---------------------------------------------------------- generators --

@@ -352,6 +352,26 @@ TEST(TelemetryDeterminismTest, EngineGaugesMirrorEngineStateWhenArmed) {
             static_cast<double>(e.time()));
   EXPECT_EQ(reg.sample("dlb_engine_discrepancy", {{"engine", "flat"}}),
             static_cast<double>(e.discrepancy()));
+
+  // The sharded engine publishes the same gauges under its own label
+  // (k = 3, and a different round count so the series cannot alias).
+  std::unique_ptr<Balancer> sb = find_balancer_factory("SEND(floor)")(7);
+  ShardedEngineConfig config;
+  config.self_loops = g.degree();
+  ShardedEngine sharded(g, config, *sb, random_initial(g.num_nodes(), 200, 5),
+                        /*shards=*/3);
+  const double sharded_before =
+      reg.sample("dlb_engine_rounds_total", {{"engine", "sharded"}});
+  for (int i = 0; i < 7; ++i) sharded.step();
+  EXPECT_EQ(reg.sample("dlb_engine_rounds_total", {{"engine", "sharded"}}) -
+                sharded_before,
+            7.0);
+  EXPECT_EQ(reg.sample("dlb_engine_time", {{"engine", "sharded"}}),
+            static_cast<double>(sharded.time()));
+  EXPECT_EQ(reg.sample("dlb_engine_discrepancy", {{"engine", "sharded"}}),
+            static_cast<double>(sharded.discrepancy()));
+  EXPECT_EQ(reg.sample("dlb_engine_time", {{"engine", "flat"}}),
+            static_cast<double>(e.time()));
 }
 
 TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackHaloTraffic) {

@@ -346,6 +346,36 @@ TEST(ShardedEngineTest, GatedAuditAndDeferredStatsMatchFlat) {
   EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen());
 }
 
+TEST(ShardedEngineTest, RunUntilDiscrepancyMatchesFlat) {
+  // The stop test reads the cached statistics the shards publish, so the
+  // step count, the loads and the min-seen history must all match the
+  // flat engine — for a reachable target and for one that hits the cap.
+  const Graph g = make_torus2d(8, 6);
+  const LoadVector initial = random_initial(g.num_nodes(), 500, 99);
+  constexpr Step kCap = 400;
+  for (const Algorithm a : {Algorithm::kSendFloor, Algorithm::kRotorRouter}) {
+    for (const Load target : {Load{12}, Load{0}}) {
+      auto flat_b = make_balancer(a, 7);
+      Engine flat(g, EngineConfig{.self_loops = 1}, *flat_b, initial);
+      const Step flat_steps = flat.run_until_discrepancy(target, kCap);
+      for (const int k : {1, 3, 8}) {
+        const auto where = [&] {
+          return algorithm_name(a) + " target=" + std::to_string(target) +
+                 " shards=" + std::to_string(k);
+        };
+        auto shard_b = make_balancer(a, 7);
+        ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = 1},
+                              *shard_b, initial, k);
+        EXPECT_EQ(sharded.run_until_discrepancy(target, kCap), flat_steps)
+            << where();
+        EXPECT_EQ(sharded.time(), flat.time()) << where();
+        EXPECT_EQ(sharded.gather_loads(), flat.loads()) << where();
+        EXPECT_EQ(sharded.min_load_seen(), flat.min_load_seen()) << where();
+      }
+    }
+  }
+}
+
 TEST(ShardedEngineTest, ExternalChannelAndAccountingSurface) {
   const Graph g = make_cycle(64);
   const LoadVector initial = random_initial(g.num_nodes(), 100, 3);

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -758,6 +759,192 @@ TEST(SnapshotShardInterop, KShardImageRestoresIntoOneShardAndFlat) {
     EXPECT_EQ(eight.gather_loads(), full.loads());
     EXPECT_EQ(eight.min_load_seen(), full.min_load_seen());
   }
+}
+
+
+// ------------------------------------------------------- atomic restore --
+
+using Blobs = std::vector<std::vector<std::uint8_t>>;
+
+/// Re-encodes a snapshot image with `edit` applied to its component blobs
+/// (core, balancer, workload, tracker) and a recomputed checksum: a
+/// forged image that deserialize() accepts and only restore() can catch.
+std::vector<std::uint8_t> forge(const std::vector<std::uint8_t>& image,
+                                const std::function<void(Blobs&)>& edit) {
+  StateReader header(image);
+  const std::uint64_t magic = header.u64();
+  const std::uint32_t version = header.u32();
+  const std::uint64_t payload_len = header.u64();
+  header.u64();  // checksum, recomputed below
+  StateReader r(header.bytes(static_cast<std::size_t>(payload_len)));
+  StateWriter payload;
+  payload.i32(r.i32());  // node count
+  payload.i32(r.i32());  // degree
+  payload.i32(r.i32());  // self-loops
+  payload.u8(r.u8());    // structure tag
+  payload.vec_i32(r.vec_i32());
+  payload.u64(r.u64());  // adjacency hash
+  payload.str(r.str());  // graph, balancer, workload names
+  payload.str(r.str());
+  payload.str(r.str());
+  payload.i64(r.i64());  // time
+  payload.b(r.b());      // has tracker
+  Blobs blobs(4);
+  for (auto& blob : blobs) {
+    const auto bytes = r.bytes(static_cast<std::size_t>(r.u64()));
+    blob.assign(bytes.begin(), bytes.end());
+  }
+  EXPECT_TRUE(r.done());
+  edit(blobs);
+  for (const auto& blob : blobs) {
+    payload.u64(blob.size());
+    payload.bytes(blob);
+  }
+  StateWriter out;
+  out.u64(magic);
+  out.u32(version);
+  out.u64(payload.size());
+  out.u64(fnv1a64(payload.data()));
+  out.bytes(payload.data());
+  return out.take();
+}
+
+/// A ROTOR-ROUTER run with Poisson churn and a steady-state tracker, on
+/// the flat engine (shards == 0) or a `shards`-way ShardedEngine.
+struct AtomicRig {
+  Graph g = make_cycle(24);
+  std::unique_ptr<Balancer> balancer =
+      make_balancer(Algorithm::kRotorRouter, 11);
+  PoissonWorkload workload{
+      PoissonWorkload::Params{.arrival_rate = 0.6, .departure_rate = 0.5}};
+  SteadyStateTracker tracker{SteadyOptions{.window = 12, .warmup = 4}};
+  std::unique_ptr<Engine> flat;
+  std::unique_ptr<ShardedEngine> sharded;
+
+  explicit AtomicRig(int shards) {
+    LoadVector initial(static_cast<std::size_t>(g.num_nodes()), 1);
+    for (std::size_t u = 0; u < initial.size(); u += 5) initial[u] = 20;
+    workload.reset(g.num_nodes(), /*seed=*/42);
+    if (shards == 0) {
+      flat = std::make_unique<Engine>(g, EngineConfig{.self_loops = 2},
+                                      *balancer, initial);
+      flat->set_workload(&workload);
+    } else {
+      ShardedEngineConfig config;
+      config.self_loops = 2;
+      sharded = std::make_unique<ShardedEngine>(g, config, *balancer,
+                                                initial, shards);
+      sharded->set_workload(&workload);
+    }
+  }
+
+  /// Calls f on whichever engine this rig drives.
+  template <class F>
+  auto visit(F&& f) const {
+    return flat ? f(*flat) : f(*sharded);
+  }
+  Step time() const { return visit([](auto& e) { return e.time(); }); }
+  /// (total, injected, consumed, min_load_seen)
+  std::vector<Load> ledger() const {
+    return visit([](auto& e) {
+      return std::vector<Load>{e.total(), e.injected_total(),
+                               e.consumed_total(), e.min_load_seen()};
+    });
+  }
+  void step_rounds(Step k) {
+    visit([&](auto& e) {
+      for (Step i = 0; i < k; ++i) {
+        e.step();
+        tracker.observe(e.time(), e.discrepancy());
+      }
+    });
+  }
+  LoadVector loads() const {
+    return flat ? flat->loads() : sharded->gather_loads();
+  }
+  /// Every piece of stepping state, byte for byte.
+  std::vector<std::uint8_t> image() const {
+    return (flat ? EngineSnapshot::capture(*flat, &tracker)
+                 : EngineSnapshot::capture(*sharded, &tracker))
+        .serialize();
+  }
+  void restore(const EngineSnapshot& snap) {
+    if (flat) {
+      snap.restore(*flat, &tracker);
+    } else {
+      snap.restore(*sharded, &tracker);
+    }
+  }
+};
+
+TEST(SnapshotAtomicity, ForgedComponentBlobLeavesTheTargetUntouched) {
+  AtomicRig src(0);
+  src.step_rounds(9);
+  const std::vector<std::uint8_t> image = src.image();
+
+  struct Forgery {
+    const char* what;
+    std::function<void(Blobs&)> edit;
+  };
+  const Forgery forgeries[] = {
+      // Fails the core blob's expect_done, after load_core_state ran.
+      {"trailing core byte", [](Blobs& b) { b[0].push_back(0); }},
+      // Fails RotorRouter::load_state, after the whole core blob applied.
+      {"rotor position out of range",
+       [](Blobs& b) {
+         StateReader r(b[1]);
+         std::vector<int> rotor = r.vec_int();
+         rotor.at(5) = 999;
+         StateWriter w;
+         w.vec_int(rotor);
+         b[1] = w.take();
+       }},
+  };
+  for (const int shards : {0, 3}) {
+    for (const Forgery& forgery : forgeries) {
+      SCOPED_TRACE(std::string(forgery.what) + ", shards=" +
+                   std::to_string(shards));
+      AtomicRig target(shards);
+      AtomicRig twin(shards);  // never restored
+      target.step_rounds(4);
+      twin.step_rounds(4);
+      const std::vector<std::uint8_t> before = target.image();
+
+      const EngineSnapshot forged =
+          EngineSnapshot::deserialize(forge(image, forgery.edit));
+      EXPECT_ANY_THROW(target.restore(forged));
+
+      EXPECT_EQ(target.time(), 4);
+      EXPECT_EQ(target.loads(), twin.loads());
+      EXPECT_EQ(target.ledger(), twin.ledger());
+      // Loads, clock, ledger, cached stats, rotors, workload stream and
+      // tracker window, byte for byte.
+      EXPECT_EQ(target.image(), before);
+
+      target.step_rounds(12);
+      twin.step_rounds(12);
+      EXPECT_EQ(target.loads(), twin.loads());
+      EXPECT_EQ(target.ledger(), twin.ledger());
+      EXPECT_EQ(target.image(), twin.image());
+    }
+  }
+}
+
+TEST(SnapshotAtomicity, FailedShardedRestoreKeepsKilledShardsDead) {
+  AtomicRig src(3);
+  src.step_rounds(9);
+  const EngineSnapshot forged = EngineSnapshot::deserialize(
+      forge(src.image(), [](Blobs& b) { b[0].push_back(0); }));
+  AtomicRig target(3);
+  target.step_rounds(4);
+  target.sharded->kill_shard(1);
+  EXPECT_ANY_THROW(target.restore(forged));
+  EXPECT_TRUE(target.sharded->shard_dead(1));
+  EXPECT_EQ(target.sharded->dead_shards(), 1);
+  // The intact image still recovers it.
+  target.restore(EngineSnapshot::deserialize(src.image()));
+  EXPECT_EQ(target.sharded->dead_shards(), 0);
+  EXPECT_EQ(target.loads(), src.loads());
 }
 
 }  // namespace
