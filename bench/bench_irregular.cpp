@@ -2,20 +2,21 @@
 //
 // The paper claims its results extend to non-regular graphs; the
 // standard construction pads every node to a uniform balancing degree
-// D = 2·max_degree with self-loops. This bench runs SEND(⌊x/D⌋) and the
-// padded ROTOR-ROUTER on four heterogeneous families — grid (degrees
-// 2/3/4), wheel (hub degree n−1), barbell (bad conductance), G(n,p) —
-// and reports discrepancy at T(µ_padded) against the d_max-based
-// Thm 2.3 envelope.
+// D = 2·max_degree with self-loops. pad_to_regular turns each graph into
+// a regular Graph plus d° = D − max_degree self-loops, and this bench
+// runs the registry's SEND(⌊x/D⌋) and ROTOR-ROUTER on it through the
+// ordinary Engine, on four heterogeneous families — grid (degrees 2/3/4),
+// wheel (hub degree n−1), barbell (bad conductance), G(n,p) — and
+// reports discrepancy at T(µ_padded) against the d_max-based Thm 2.3
+// envelope.
 //
-// IrregularGraph is not a regular Graph, so the SweepMatrix axes do not
-// apply; the bench instead shares the sweep benches' CLI surface
-// (--threads/--csv as in bench_table1) directly on the ThreadPool: the
-// (graph × policy) jobs fan out across the pool and results aggregate by
-// job index (byte-deterministic at any thread count). Each engine runs
-// serial inside its job — handing the job pool to an engine would nest
-// for_ranges; use IrregularEngine::set_thread_pool with a dedicated pool
-// when driving one huge instance instead.
+// The bench shares the sweep benches' CLI surface (--threads/--csv as in
+// bench_table1) directly on the ThreadPool: the (graph × algorithm) jobs
+// fan out across the pool and results aggregate by job index
+// (byte-deterministic at any thread count). Each engine runs serial
+// inside its job — handing the job pool to an engine would nest
+// for_ranges; use Engine::set_thread_pool with a dedicated pool when
+// driving one huge instance instead.
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -23,22 +24,18 @@
 #include <string>
 #include <vector>
 
+#include "balancers/registry.hpp"
 #include "bench_common.hpp"
-#include "irregular/iengine.hpp"
+#include "core/engine.hpp"
 #include "irregular/igraph.hpp"
 #include "markov/mixing.hpp"
+#include "markov/spectral.hpp"
 #include "util/csv.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace dlb;
-
-struct Job {
-  const IrregularGraph* graph;
-  IrregularPolicy policy;
-  Load k;
-};
 
 struct Row {
   std::string graph;
@@ -47,13 +44,9 @@ struct Row {
   int max_degree = 0;
   double mu = 0.0;
   Step t_balance = 0;
-  const char* policy = "";
+  std::string policy;
   Load disc = 0;
 };
-
-const char* policy_name(IrregularPolicy p) {
-  return p == IrregularPolicy::kSendFloor ? "SEND(floor)" : "ROTOR-ROUTER";
-}
 
 }  // namespace
 
@@ -71,36 +64,50 @@ int main(int argc, char** argv) {
       make_gnp_connected(256, 8.0, 11),
   };
   const Load scales[] = {100 * 256, 100 * 128, 100 * 24, 100 * 256};
-
-  std::vector<Job> jobs;
-  for (std::size_t i = 0; i < std::size(graphs); ++i) {
-    for (IrregularPolicy p :
-         {IrregularPolicy::kSendFloor, IrregularPolicy::kRotorRouter}) {
-      jobs.push_back({&graphs[i], p, scales[i]});
-    }
-  }
+  const Algorithm algorithms[] = {Algorithm::kSendFloor,
+                                  Algorithm::kRotorRouter};
+  const std::size_t num_graphs = std::size(graphs);
+  std::vector<PaddedGraph> padded;
+  for (const IrregularGraph& g : graphs) padded.push_back(pad_to_regular(g));
 
   ThreadPool pool(cli.threads);
-  std::vector<Row> rows(jobs.size());
+  // µ once per graph, shared by its algorithms' jobs (the padded wheel
+  // needs ~10^5 power iterations).
+  std::vector<double> mus(num_graphs);
+  pool.for_ranges(static_cast<std::int64_t>(num_graphs),
+                  [&](std::int64_t first, std::int64_t last) {
+                    for (auto i = static_cast<std::size_t>(first);
+                         i < static_cast<std::size_t>(last); ++i) {
+                      mus[i] = spectral_gap(padded[i].graph,
+                                            padded[i].self_loops)
+                                   .gap;
+                    }
+                  });
+
+  // Job j runs algorithms[j % 2] on graph j / 2.
+  std::vector<Row> rows(num_graphs * std::size(algorithms));
   pool.for_ranges(
-      static_cast<std::int64_t>(jobs.size()),
+      static_cast<std::int64_t>(rows.size()),
       [&](std::int64_t first, std::int64_t last) {
-        for (std::int64_t j = first; j < last; ++j) {
-          const Job& job = jobs[static_cast<std::size_t>(j)];
-          const IrregularGraph& g = *job.graph;
-          const double mu = irregular_spectral_gap(g, 0);
+        for (auto j = static_cast<std::size_t>(first);
+             j < static_cast<std::size_t>(last); ++j) {
+          const std::size_t i = j / std::size(algorithms);
+          const Algorithm a = algorithms[j % std::size(algorithms)];
+          const IrregularGraph& g = graphs[i];
+          const PaddedGraph& p = padded[i];
           LoadVector init(static_cast<std::size_t>(g.num_nodes()), 0);
-          init[0] = job.k;
-          const Step t_bal = balancing_time(g.num_nodes(), job.k, mu);
+          init[0] = scales[i];
+          const Step t_bal = balancing_time(g.num_nodes(), scales[i], mus[i]);
 
           // Outer parallelism only: chunks of this pool run whole jobs,
           // so handing the same pool to the engine would nest for_ranges.
-          IrregularEngine e(g, job.policy, 0, init);
+          const auto balancer = make_balancer(a);
+          Engine e(p.graph, EngineConfig{.self_loops = p.self_loops},
+                   *balancer, init);
           e.run(t_bal);
-          rows[static_cast<std::size_t>(j)] = {
-              g.name(),          g.num_nodes(),  g.min_degree(),
-              g.max_degree(),    mu,             t_bal,
-              policy_name(job.policy), e.discrepancy()};
+          rows[j] = {g.name(),       g.num_nodes(), g.min_degree(),
+                     g.max_degree(), mus[i],        t_bal,
+                     algorithm_name(a), e.discrepancy()};
         }
       });
 
@@ -110,12 +117,12 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     std::printf("%-18s %5d %5d/%-4d %9.4f %8lld %14s %10lld\n",
                 r.graph.c_str(), r.n, r.min_degree, r.max_degree, r.mu,
-                static_cast<long long>(r.t_balance), r.policy,
+                static_cast<long long>(r.t_balance), r.policy.c_str(),
                 static_cast<long long>(r.disc));
   }
-  for (std::size_t i = 0; i < std::size(graphs); ++i) {
+  for (std::size_t i = 0; i < num_graphs; ++i) {
     const IrregularGraph& g = graphs[i];
-    const double mu = rows[2 * i].mu;
+    const double mu = mus[i];
     const double envelope =
         g.max_degree() *
         std::sqrt(std::log(static_cast<double>(g.num_nodes())) / mu);

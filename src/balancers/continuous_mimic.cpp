@@ -275,11 +275,13 @@ void ContinuousMimic::load_state(StateReader& r) {
   std::vector<double> y = r.vec_f64();
   std::vector<double> w_cum = r.vec_f64();
   std::vector<Load> f_cum = r.vec_i64();
-  DLB_REQUIRE(y.size() == y_.size() && w_cum.size() == w_cum_.size() &&
-                  f_cum.size() == f_cum_.size(),
-              "ContinuousMimic: state size mismatch");
-  DLB_REQUIRE(seen >= 0 && seen <= static_cast<NodeId>(y.size()),
-              "ContinuousMimic: bad initialization progress");
+  if (y.size() != y_.size() || w_cum.size() != w_cum_.size() ||
+      f_cum.size() != f_cum_.size()) {
+    throw serial_error("ContinuousMimic state: size mismatch");
+  }
+  if (seen < 0 || seen > static_cast<NodeId>(y.size())) {
+    throw serial_error("ContinuousMimic state: bad initialization progress");
+  }
   current_step_ = current_step;
   initialized_ = initialized;
   seen_ = seen;

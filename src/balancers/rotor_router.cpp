@@ -245,11 +245,13 @@ void RotorRouter::save_state(StateWriter& w) const { w.vec_int(rotor_); }
 
 void RotorRouter::load_state(StateReader& r) {
   std::vector<int> rotor = r.vec_int();
-  DLB_REQUIRE(rotor.size() == rotor_.size(),
-              "RotorRouter: rotor state size mismatch");
+  if (rotor.size() != rotor_.size()) {
+    throw serial_error("RotorRouter state: rotor size mismatch");
+  }
   for (int pos : rotor) {
-    DLB_REQUIRE(pos >= 0 && pos < d_plus_,
-                "RotorRouter: rotor position out of range");
+    if (pos < 0 || pos >= d_plus_) {
+      throw serial_error("RotorRouter state: rotor position out of range");
+    }
   }
   rotor_ = std::move(rotor);
 }

@@ -137,11 +137,13 @@ void RotorRouterStar::save_state(StateWriter& w) const { w.vec_int(rotor_); }
 
 void RotorRouterStar::load_state(StateReader& r) {
   std::vector<int> rotor = r.vec_int();
-  DLB_REQUIRE(rotor.size() == rotor_.size(),
-              "RotorRouterStar: rotor state size mismatch");
+  if (rotor.size() != rotor_.size()) {
+    throw serial_error("RotorRouterStar state: rotor size mismatch");
+  }
   for (int pos : rotor) {
-    DLB_REQUIRE(pos >= 0 && pos < rotor_ports_,
-                "RotorRouterStar: rotor position out of range");
+    if (pos < 0 || pos >= rotor_ports_) {
+      throw serial_error("RotorRouterStar state: rotor position out of range");
+    }
   }
   rotor_ = std::move(rotor);
 }

@@ -265,7 +265,8 @@ class Balancer {
   /// instance constructed with the same parameters; must consume the
   /// buffer exactly (the snapshot layer rejects trailing bytes, so a
   /// field forgotten on either side is a caught error, not silent
-  /// drift). Throws serial_error / invariant_error on any mismatch.
+  /// drift). Throws serial_error on any mismatch or out-of-range value,
+  /// before changing any state.
   virtual void load_state(StateReader& r);
 };
 

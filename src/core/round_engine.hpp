@@ -1,9 +1,9 @@
 // RoundDriver and RoundEngineBase: the stepping substrate shared by every
-// synchronous round engine in the library — the diffusive Engine, the
-// irregular-graph IrregularEngine and the matching-model
-// DimensionExchange (all three over one flat load vector, through
-// RoundEngineBase) and the k-slice ShardedEngine (directly on
-// RoundDriver).
+// synchronous round engine in the library — the diffusive Engine and the
+// matching-model DimensionExchange (both over one flat load vector,
+// through RoundEngineBase) and the k-slice ShardedEngine (directly on
+// RoundDriver). Irregular graphs need no engine of their own: padded to
+// a regular Graph (irregular/igraph.hpp), they run on the Engine.
 //
 // RoundDriver owns the one round ledger every engine shares:
 //   * the round clock and the conserved total, split into Σx₀ plus the
@@ -232,7 +232,7 @@ class RoundDriver {
   void adopt(ConservationPolicy audit, std::size_t nodes);
 
   /// Telemetry and trace label of this engine ("flat", "sharded",
-  /// "irregular", ...). Consulted lazily on the first round that runs
+  /// "dimexchange"). Consulted lazily on the first round that runs
   /// with the metrics registry armed.
   virtual const char* engine_kind() const noexcept { return "flat"; }
 

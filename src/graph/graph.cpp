@@ -152,13 +152,13 @@ void Graph::build_reverse_ports() {
     }
     const std::size_t count = hi - lo;
     if ((recs[lo].pair >> 32) == (recs[lo].pair & 0xffffffffu)) {
-      // Self-edges: all ports are side 0; they must come in pairs (a map
-      // fixing a point is always accompanied by its inverse) and are
-      // paired consecutively with each other.
-      DLB_REQUIRE(count % 2 == 0, "self-edge ports must come in pairs");
-      for (std::size_t k = lo; k < hi; k += 2) {
+      // Self-edges: all ports are side 0 and pair consecutively with each
+      // other. An odd count (the padding of an irregular graph) leaves
+      // one port, which pairs with itself.
+      for (std::size_t k = lo; k + 1 < hi; k += 2) {
         pair_ports(recs[k].port, recs[k + 1].port);
       }
+      if (count % 2 == 1) pair_ports(recs[hi - 1].port, recs[hi - 1].port);
     } else {
       DLB_REQUIRE(2 * fwd == count,
                   "graph is not symmetric: directed edge multiset mismatch");

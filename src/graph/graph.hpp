@@ -10,7 +10,9 @@
 // adj[u*d + i]. Because every directed edge (u→v) has a reverse edge
 // (v→u), we also precompute rev_port so that flow bookkeeping can pair the
 // two directions in O(1). Parallel edges are allowed (the configuration
-// model can produce them); self-edges in G are rejected.
+// model can produce them); self-edges in G are rejected unless the
+// caller opts in (the Margulis expander, and irregular graphs padded to a
+// uniform degree by pad_to_regular, whose extra ports are self-edges).
 #pragma once
 
 #include <cstdint>
@@ -59,9 +61,11 @@ class Graph {
   /// the head of the i-th out-edge of node u. The edge multiset must be
   /// symmetric (as a multiset of directed edges). Self-edges are rejected
   /// unless `allow_self_edges` is set (the Margulis–Gabber–Galil expander
-  /// has fixed points of its defining maps; such self-edges always come in
-  /// map/inverse-map pairs and are paired with each other). Throws
-  /// invariant_error otherwise.
+  /// has fixed points of its defining maps; a padded irregular graph
+  /// fills each node's missing ports with self-edges). A node's self-edge
+  /// ports pair consecutively in port order; with an odd count the last
+  /// one is self-paired (rev_port(u, p) == p). Throws invariant_error
+  /// otherwise.
   ///
   /// `structure` tags the graph as an instance of an implicit family
   /// (cycle/torus/hypercube); every adjacency and reverse-port entry is
@@ -109,7 +113,8 @@ class Graph {
   /// Port index at `neighbor(u, port)` of the paired reverse edge.
   ///
   /// Invariant: neighbor(neighbor(u,p), rev_port(u,p)) == u, and the
-  /// pairing is an involution.
+  /// pairing is an involution (a self-paired self-edge port is its own
+  /// fixed point).
   int rev_port(NodeId u, int port) const {
     DLB_ASSERT(valid_node(u) && port >= 0 && port < d_, "rev_port: bad args");
     if (!rev_.empty()) return rev_[static_cast<std::size_t>(u) * d_ + port];

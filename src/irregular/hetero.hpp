@@ -11,14 +11,14 @@
 // converges to the global token density m/Σs, so physical node u holds
 // ≈ s(u)·m/Σs. This preserves the behaviour the paper's model cares
 // about (diffusive, synchronous, indivisible tokens, no communication
-// beyond neighbours) while reusing the audited irregular engine.
+// beyond neighbours). The blow-up runs like any irregular graph:
+// pad_to_regular(blowup) gives a regular Graph for the ordinary Engine.
 #pragma once
 
 #include <vector>
 
 #include "core/load_vector.hpp"
 #include "graph/graph.hpp"
-#include "irregular/iengine.hpp"
 #include "irregular/igraph.hpp"
 
 namespace dlb {

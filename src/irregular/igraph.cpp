@@ -36,6 +36,24 @@ IrregularGraph::IrregularGraph(
   DLB_REQUIRE(min_degree_ >= 1, "igraph: isolated node");
 }
 
+PaddedGraph pad_to_regular(const IrregularGraph& g, int uniform_d_plus) {
+  const int d = g.max_degree();
+  const int d_plus = uniform_d_plus == 0 ? 2 * d : uniform_d_plus;
+  DLB_REQUIRE(d_plus > d, "uniform D must exceed the maximum degree");
+  std::vector<NodeId> adjacency;
+  adjacency.reserve(static_cast<std::size_t>(g.num_nodes()) *
+                    static_cast<std::size_t>(d));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto nb = g.neighbors(u);
+    adjacency.insert(adjacency.end(), nb.begin(), nb.end());
+    adjacency.insert(adjacency.end(), static_cast<std::size_t>(d - g.degree(u)),
+                     u);
+  }
+  return {Graph(g.num_nodes(), d, std::move(adjacency), g.name(),
+                /*allow_self_edges=*/true),
+          d_plus - d};
+}
+
 namespace {
 
 bool igraph_connected(const IrregularGraph& g) {

@@ -9,8 +9,10 @@
 // stochastic, so the uniform load vector is stationary and the regular
 // theory carries over with d replaced by max degree.
 //
-// IrregularGraph stores a CSR adjacency with per-node degrees; the
-// companion engine (iengine.hpp) runs diffusion balancers against it.
+// IrregularGraph stores a CSR adjacency with per-node degrees.
+// pad_to_regular turns it into an ordinary regular Graph plus a self-loop
+// count, so every registry balancer, the flat and sharded engines,
+// snapshots and spectral_gap run on it unchanged.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/graph.hpp"  // NodeId
+#include "graph/graph.hpp"
 #include "util/rng.hpp"
 
 namespace dlb {
@@ -61,6 +63,20 @@ class IrregularGraph {
   int min_degree_ = 0;
   std::string name_;
 };
+
+/// An irregular graph padded to uniform balancing degree D: a regular
+/// Graph of degree max_degree plus the self-loop count that tops it up to
+/// D. Run it as Engine(graph, {.self_loops = self_loops}, ...).
+struct PaddedGraph {
+  Graph graph;     ///< node u: its real ports in CSR order, then
+                   ///< max_degree − deg(u) self-edge ports
+  int self_loops;  ///< D − max_degree (>= 1)
+};
+
+/// Pads `g` to uniform degree D = `uniform_d_plus`; 0 selects the default
+/// 2·max_degree. D must strictly exceed max_degree (every node needs >= 1
+/// self-loop to break periodicity).
+PaddedGraph pad_to_regular(const IrregularGraph& g, int uniform_d_plus = 0);
 
 /// Erdős–Rényi G(n, p) conditioned on connectivity (retries the seed
 /// stream until connected; p defaults from the target average degree).

@@ -1,5 +1,5 @@
 // EngineTelemetry: the registry handles every round engine publishes
-// through. One bundle per engine *kind* ("flat", "sharded", "irregular",
+// through. One bundle per engine *kind* ("flat", "sharded",
 // "dimexchange") — handles are process-wide series, so several engine
 // instances of the same kind aggregate, which is exactly what the
 // exposition wants (the service runs one engine; tests run many).

@@ -20,7 +20,7 @@
 #include "dynamics/steady_stats.hpp"
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
-#include "irregular/iengine.hpp"
+#include "irregular/igraph.hpp"
 #include "markov/spectral.hpp"
 #include "util/thread_pool.hpp"
 
@@ -504,27 +504,29 @@ TEST(DynamicEngine, ConsumptionTruncatesAtZeroLoad) {
 }
 
 TEST(DynamicEngine, WorkloadHookWorksOnTheIrregularSubstrate) {
-  // Irregular graphs have no regular Graph object, which is why reset()
-  // takes a node count; conservation and parallel determinism must hold
-  // there too.
+  // An irregular graph runs padded to a regular Graph; conservation and
+  // parallel determinism must hold there too, with the padding's
+  // self-edge ports in every row.
   const IrregularGraph g = make_wheel(12);
+  const PaddedGraph padded = pad_to_regular(g);
   CounterWorkload serial_churn({.arrival_period = 3,
                                 .arrival_amount = 2,
                                 .departure_period = 5,
                                 .departure_amount = 1});
   serial_churn.reset(g.num_nodes(), 0);
-  IrregularEngine serial(g, IrregularPolicy::kRotorRouter,
-                         /*uniform_d_plus=*/0,
-                         LoadVector(static_cast<std::size_t>(g.num_nodes()),
-                                    10));
+  auto serial_b = make_balancer(Algorithm::kRotorRouter);
+  Engine serial(padded.graph, EngineConfig{.self_loops = padded.self_loops},
+                *serial_b,
+                LoadVector(static_cast<std::size_t>(g.num_nodes()), 10));
   serial.set_workload(&serial_churn);
 
   ThreadPool pool(4);
   CounterWorkload par_churn = serial_churn;
   par_churn.reset(g.num_nodes(), 0);
-  IrregularEngine parallel(g, IrregularPolicy::kRotorRouter, 0,
-                           LoadVector(static_cast<std::size_t>(g.num_nodes()),
-                                      10));
+  auto par_b = make_balancer(Algorithm::kRotorRouter);
+  Engine parallel(padded.graph,
+                  EngineConfig{.self_loops = padded.self_loops}, *par_b,
+                  LoadVector(static_cast<std::size_t>(g.num_nodes()), 10));
   parallel.set_workload(&par_churn);
   parallel.set_thread_pool(&pool);
 

@@ -23,6 +23,7 @@
 #include "balancers/registry.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "irregular/igraph.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dlb {
@@ -48,6 +49,9 @@ std::vector<GoldenGraph> golden_graphs() {
   out.push_back({"torus", make_torus2d(8, 6)});
   out.push_back({"hypercube", make_hypercube(4)});
   out.push_back({"expander", make_margulis(5)});
+  // Irregular graph padded to degree 8: each rim node carries 5 self-edge
+  // ports, the last of them self-paired.
+  out.push_back({"padded-wheel", pad_to_regular(make_wheel(9)).graph});
   return out;
 }
 

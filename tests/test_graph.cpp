@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -45,6 +46,26 @@ TEST(Graph, ParallelEdgesPairedConsistently) {
   const Graph g(2, 2, {1, 1, 0, 0});
   EXPECT_TRUE(g.has_parallel_edges());
   EXPECT_EQ(verify_regular_symmetric(g), 2);
+}
+
+TEST(Graph, OddSelfPortCountPairsTheLeftoverPortWithItself) {
+  // One self-port per node: the lone port is its own reverse.
+  const Graph one(2, 2, {0, 1, 0, 1}, "one self-port", true);
+  EXPECT_EQ(one.rev_port(0, 0), 0);
+  EXPECT_EQ(one.rev_port(1, 1), 1);
+  EXPECT_EQ(one.rev_port(0, 1), 0);
+  EXPECT_EQ(verify_regular_symmetric(one), 2);
+  // Three self-ports: the first two pair, the third is self-paired.
+  const std::vector<NodeId> adj{1, 0, 0, 0, 0, 1, 1, 1};
+  const Graph three(2, 4, adj, "three self-ports", true);
+  EXPECT_EQ(three.rev_port(0, 1), 2);
+  EXPECT_EQ(three.rev_port(0, 2), 1);
+  EXPECT_EQ(three.rev_port(0, 3), 3);
+  EXPECT_EQ(three.rev_port(1, 3), 3);
+  EXPECT_EQ(three.rev_port(0, 0), 0);
+  EXPECT_EQ(verify_regular_symmetric(three), 4);
+  // Without the opt-in the same adjacency is still rejected.
+  EXPECT_THROW(Graph(2, 4, adj), invariant_error);
 }
 
 /// FNV-1a over every reverse-port entry, in layout order.

@@ -1,11 +1,14 @@
 // Tests for the heterogeneous-machines adapter (related work [2]):
 // speed blow-up construction, replica bookkeeping, and speed-proportional
-// balancing through the irregular engine.
+// balancing of the padded blow-up on the ordinary Engine.
 #include <gtest/gtest.h>
 
+#include "balancers/registry.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "irregular/hetero.hpp"
 #include "markov/mixing.hpp"
+#include "markov/spectral.hpp"
 
 namespace dlb {
 namespace {
@@ -63,9 +66,11 @@ TEST(Hetero, BalancesProportionallyToSpeed) {
 
   LoadVector physical(8, 0);
   physical[0] = 2000;  // 100 tokens per unit of speed (Σs = 20)
-  IrregularEngine e(inst.blowup, IrregularPolicy::kRotorRouter, 0,
-                    spread_to_replicas(inst, physical));
-  const double mu = irregular_spectral_gap(inst.blowup, 0);
+  const PaddedGraph padded = pad_to_regular(inst.blowup);
+  auto rotor = make_balancer(Algorithm::kRotorRouter);
+  Engine e(padded.graph, EngineConfig{.self_loops = padded.self_loops},
+           *rotor, spread_to_replicas(inst, physical));
+  const double mu = spectral_gap(padded.graph, padded.self_loops).gap;
   e.run(2 * balancing_time(inst.blowup.num_nodes(), 2000, mu));
 
   const LoadVector balanced = collapse_to_physical(inst, e.loads());
@@ -86,8 +91,10 @@ TEST(Hetero, FastMachineEndsWithProportionallyMore) {
   const auto inst = make_hetero_instance(g, speeds);
   LoadVector physical(9, 0);
   physical[0] = 1600;
-  IrregularEngine e(inst.blowup, IrregularPolicy::kRotorRouter, 0,
-                    spread_to_replicas(inst, physical));
+  const PaddedGraph padded = pad_to_regular(inst.blowup);
+  auto rotor = make_balancer(Algorithm::kRotorRouter);
+  Engine e(padded.graph, EngineConfig{.self_loops = padded.self_loops},
+           *rotor, spread_to_replicas(inst, physical));
   e.run(20000);
   const LoadVector balanced = collapse_to_physical(inst, e.loads());
   // Fast machine holds ~8x a slow machine's share (100 per speed unit).

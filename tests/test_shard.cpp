@@ -1,11 +1,12 @@
 // Golden-equivalence gates for the sharded round engine:
 //
 //  1. For EVERY balancer in the registry, on every structured family plus
-//     a generic expander, a k-shard ShardedEngine run (k ∈ {1, 2, 3, 8})
-//     must produce load trajectories byte-identical — step by step — to
-//     the flat Engine, serially and at pool sizes {1, 8}. This covers
-//     both tiers: SEND(floor) on cycle/torus takes the windowed halo-
-//     exchange path, everything else routes flows through the channel.
+//     a generic expander and a padded irregular wheel, a k-shard
+//     ShardedEngine run (k ∈ {1, 2, 3, 8}) must produce load trajectories
+//     byte-identical — step by step — to the flat Engine, serially and
+//     at pool sizes {1, 8}. This covers both tiers: SEND(floor) on
+//     cycle/torus takes the windowed halo-exchange path, everything else
+//     routes flows through the channel.
 //  2. The same identity must hold under online workloads (static is case
 //     1; Poisson churn and the adversarial argmax injector exercise the
 //     dense, sparse, and gathered-prepare paths), ledger included.
@@ -28,6 +29,7 @@
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
 #include "graph/topology.hpp"
+#include "irregular/igraph.hpp"
 #include "shard/channel.hpp"
 #include "shard/sharded_engine.hpp"
 #include "util/thread_pool.hpp"
@@ -47,6 +49,9 @@ std::vector<ShardGraph> shard_graphs() {
   out.push_back({"torus3d", make_torus({4, 3, 5})});
   out.push_back({"hypercube", make_hypercube(4)});
   out.push_back({"expander", make_margulis(5)});
+  // Irregular graph padded to degree 8: each rim node carries 5 self-edge
+  // ports, the last of them self-paired.
+  out.push_back({"padded-wheel", pad_to_regular(make_wheel(9)).graph});
   return out;
 }
 

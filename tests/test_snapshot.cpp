@@ -35,6 +35,7 @@
 #include "dynamics/steady_stats.hpp"
 #include "dynamics/workload.hpp"
 #include "graph/generators.hpp"
+#include "irregular/igraph.hpp"
 #include "service/admission.hpp"
 #include "service/balancer_service.hpp"
 #include "service/snapshot.hpp"
@@ -108,8 +109,9 @@ struct Rig {
   std::unique_ptr<Engine> engine;
   SteadyStateTracker tracker;
 
-  explicit Rig(const std::string& balancer_name, Churn churn, int threads)
-      : g(make_cycle(24)),
+  explicit Rig(const std::string& balancer_name, Churn churn, int threads,
+               Graph graph = make_cycle(24))
+      : g(std::move(graph)),
         balancer(find_balancer_factory(balancer_name)(/*seed=*/11)),
         wl(make_workload(churn)),
         tracker(SteadyOptions{.window = 12, .warmup = 4}) {
@@ -225,6 +227,41 @@ TEST(SnapshotEquivalence, EveryBalancerEveryWorkloadAtPools1And8) {
         const Observed got = observe(resumed, std::move(resumed_tail));
 
         expect_identical(want, got);
+      }
+    }
+  }
+}
+
+TEST(SnapshotEquivalence, PaddedIrregularGraphRoundTripsForEveryBalancer) {
+  // An irregular wheel padded to degree 8 (5 self-edge ports per rim
+  // node, the last self-paired) captures and restores like any regular
+  // graph.
+  constexpr Step kT = 40;
+  const Graph padded = pad_to_regular(make_wheel(9)).graph;
+  for (const std::string& name : registered_balancer_names()) {
+    for (Churn churn : {Churn::kStatic, Churn::kPoisson}) {
+      for (int threads : {1, 8}) {
+        SCOPED_TRACE(name + " / " + churn_name(churn) + " / pool=" +
+                     std::to_string(threads));
+        Rig full(name, churn, threads, padded);
+        std::vector<Load> full_tail;
+        full.step_rounds(kT / 2);
+        full.step_rounds(kT - kT / 2, &full_tail);
+        const Observed want = observe(full, std::move(full_tail));
+
+        std::vector<std::uint8_t> bytes;
+        {
+          Rig half(name, churn, threads, padded);
+          half.step_rounds(kT / 2);
+          bytes = EngineSnapshot::capture(*half.engine, &half.tracker)
+                      .serialize();
+        }
+        Rig resumed(name, churn, threads, padded);
+        EngineSnapshot::deserialize(bytes).restore(*resumed.engine,
+                                                   &resumed.tracker);
+        std::vector<Load> resumed_tail;
+        resumed.step_rounds(kT - kT / 2, &resumed_tail);
+        expect_identical(want, observe(resumed, std::move(resumed_tail)));
       }
     }
   }
@@ -912,7 +949,7 @@ TEST(SnapshotAtomicity, ForgedComponentBlobLeavesTheTargetUntouched) {
 
       const EngineSnapshot forged =
           EngineSnapshot::deserialize(forge(image, forgery.edit));
-      EXPECT_ANY_THROW(target.restore(forged));
+      EXPECT_THROW(target.restore(forged), serial_error);
 
       EXPECT_EQ(target.time(), 4);
       EXPECT_EQ(target.loads(), twin.loads());
@@ -938,7 +975,7 @@ TEST(SnapshotAtomicity, FailedShardedRestoreKeepsKilledShardsDead) {
   AtomicRig target(3);
   target.step_rounds(4);
   target.sharded->kill_shard(1);
-  EXPECT_ANY_THROW(target.restore(forged));
+  EXPECT_THROW(target.restore(forged), serial_error);
   EXPECT_TRUE(target.sharded->shard_dead(1));
   EXPECT_EQ(target.sharded->dead_shards(), 1);
   // The intact image still recovers it.
