@@ -222,26 +222,22 @@ void RoundEngineBase::apply_workload(ThreadPool* pool) {
     record_churn(churn);
     return;
   }
-  const auto n = static_cast<std::int64_t>(loads_.size());
-  // Per-chunk partials, combined with commutative integer adds: the
-  // totals are identical for any chunking, so thread count never shows.
+  // Dense: each block applies its own nonzero deltas where they were
+  // drawn. Per-block partials, combined with commutative integer adds:
+  // the totals are identical for any blocking, so thread count never
+  // shows.
   std::atomic<Load> injected{0};
   std::atomic<Load> consumed{0};
-  const auto body = [&](std::int64_t first, std::int64_t last) {
-    ChurnTally churn;
-    for (std::int64_t i = first; i < last; ++i) {
-      churn.apply(loads_[static_cast<std::size_t>(i)],
-                  workload->delta(static_cast<NodeId>(i), t));
-    }
-    injected.fetch_add(churn.injected, std::memory_order_relaxed);
-    consumed.fetch_add(churn.consumed, std::memory_order_relaxed);
-  };
-  if (pool != nullptr && pool->parallelism() > 1 &&
-      workload->parallel_generate_safe()) {
-    pool->for_ranges(n, body);
-  } else {
-    body(0, n);
-  }
+  scan_nonzero_deltas(
+      *workload, static_cast<NodeId>(loads_.size()), t, pool, churn_lists_,
+      [&](std::span<const NodeDelta> list) {
+        ChurnTally churn;
+        for (const auto& [u, d] : list) {
+          churn.apply(loads_[static_cast<std::size_t>(u)], d);
+        }
+        injected.fetch_add(churn.injected, std::memory_order_relaxed);
+        consumed.fetch_add(churn.consumed, std::memory_order_relaxed);
+      });
   record_churn(ChurnTally{injected.load(std::memory_order_relaxed),
                           consumed.load(std::memory_order_relaxed)});
 }

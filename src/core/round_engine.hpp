@@ -43,8 +43,10 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/load_vector.hpp"
+#include "dynamics/workload.hpp"
 #include "util/assertions.hpp"
 #include "util/serial.hpp"
 
@@ -55,7 +57,6 @@ struct EngineTelemetry;
 }  // namespace obs
 
 class ThreadPool;
-class WorkloadProcess;
 
 /// Conservation-audit policy of a round engine.
 struct ConservationPolicy {
@@ -119,15 +120,6 @@ struct ChurnTally {
     return -take;
   }
 };
-
-/// Always-on bounds check of a workload's sparse affected-node list: the
-/// list crosses a trust boundary (any third-party process can return
-/// one) and is tiny by design, so the guard is free — unlike the dense
-/// path, a bad entry would otherwise corrupt memory in release builds.
-inline void require_affected_node(std::int64_t u, std::size_t n) {
-  DLB_REQUIRE(u >= 0 && static_cast<std::size_t>(u) < n,
-              "workload affected node out of range");
-}
 
 class RoundDriver {
  public:
@@ -349,6 +341,9 @@ class RoundEngineBase : public RoundDriver {
   /// the process's prepare() and runs the dense delta pass when the
   /// process allows parallel generation.
   void apply_workload(ThreadPool* pool);
+
+  /// The dense pass's per-block nonzero delta lists (kept for capacity).
+  std::vector<std::vector<NodeDelta>> churn_lists_;
 };
 
 }  // namespace dlb

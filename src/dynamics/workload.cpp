@@ -1,9 +1,11 @@
 #include "dynamics/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "util/assertions.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 
@@ -67,6 +69,8 @@ PoissonPlan::PoissonPlan(double lambda) : lambda_(lambda) {
   if (lambda <= kPoissonProductCap) {
     chunks_ = 1;
     limit_ = std::exp(-lambda);
+    // limit_ <= 1, so limit_·2^53 <= 2^53 is exact and truncation floors.
+    zero_cutoff_ = static_cast<std::uint64_t>(std::ldexp(limit_, 53));
   } else if (lambda <= kPoissonSplitCap) {
     // Poisson is additive: the sum of m independent Poisson(λ/m) draws
     // is exactly Poisson(λ), and λ/m sits inside the product method's
@@ -99,6 +103,60 @@ Load poisson_draw(Rng& rng, double lambda) {
 }
 
 void WorkloadProcess::prepare(Step /*t*/, std::span<const Load> /*loads*/) {}
+
+void WorkloadProcess::nonzero_deltas(NodeId first, NodeId last, Step t,
+                                     std::vector<NodeDelta>& out) {
+  for (NodeId u = first; u < last; ++u) {
+    const Load d = delta(u, t);
+    if (d != 0) out.emplace_back(u, d);
+  }
+}
+
+void collect_nonzero_deltas(WorkloadProcess& w, NodeId first, NodeId last,
+                            Step t, std::vector<NodeDelta>& out) {
+  out.clear();
+  w.nonzero_deltas(first, last, t, out);
+  NodeId lowest = first;  // the smallest node the next entry may name
+  for (const auto& [u, d] : out) {
+    DLB_REQUIRE(u >= lowest && u < last && d != 0,
+                "workload nonzero_deltas entry out of range, out of order "
+                "or zero");
+    lowest = u + 1;
+  }
+}
+
+void scan_nonzero_deltas(
+    WorkloadProcess& w, NodeId n, Step t, ThreadPool* pool,
+    std::vector<std::vector<NodeDelta>>& lists,
+    const std::function<void(std::span<const NodeDelta>)>& sink) {
+  const bool fan_out = pool != nullptr && pool->parallelism() > 1 &&
+                       w.parallel_generate_safe();
+  const std::int64_t blocks =
+      fan_out ? std::min<std::int64_t>(pool->parallelism(), n) : 1;
+  lists.resize(static_cast<std::size_t>(blocks));
+  const auto body = [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      auto& slot = lists[static_cast<std::size_t>(c)];
+      // Fill a chunk-local vector and swap it in at the end: growing the
+      // slots in place makes the chunks write adjacent vector headers,
+      // which false-share and cost the whole parallel gain.
+      std::vector<NodeDelta> list;
+      list.swap(slot);
+      collect_nonzero_deltas(w, static_cast<NodeId>(c * n / blocks),
+                             static_cast<NodeId>((c + 1) * n / blocks), t,
+                             list);
+      if (sink) sink(list);
+      slot.swap(list);
+    }
+  };
+  if (fan_out) {
+    // for_ranges splits [0, blocks) into exactly `blocks` unit ranges, so
+    // each block is one pool chunk.
+    pool->for_ranges(blocks, body);
+  } else {
+    body(0, 1);
+  }
+}
 
 void WorkloadProcess::save_state(StateWriter& /*w*/) const {}
 void WorkloadProcess::load_state(StateReader& /*r*/) {}
@@ -166,9 +224,38 @@ void PoissonWorkload::reset(NodeId /*n*/, std::uint64_t seed) {
 Load PoissonWorkload::delta(NodeId u, Step t) {
   Rng rng(stream_key(seed_, static_cast<std::uint64_t>(u),
                      static_cast<std::uint64_t>(t)));
-  const Load arrivals = arrivals_.draw(rng);
-  const Load departures = departures_.draw(rng);
-  return arrivals - departures;
+  return draw_delta(rng);
+}
+
+void PoissonWorkload::nonzero_deltas(NodeId first, NodeId last, Step t,
+                                     std::vector<NodeDelta>& out) {
+  if (!arrivals_.single_product() || !departures_.single_product()) {
+    WorkloadProcess::nonzero_deltas(first, last, t, out);
+    return;
+  }
+  const StreamKeys keys(seed_);
+  const auto round = static_cast<std::uint64_t>(t);
+  const std::uint64_t arrivals_cut = arrivals_.zero_cutoff();
+  const std::uint64_t departures_cut = departures_.zero_cutoff();
+  for (NodeId u = first; u < last; ++u) {
+    // Rng(key)'s seeding, one SplitMix64 round per state word.
+    std::uint64_t sm = keys.key(static_cast<std::uint64_t>(u), round);
+    const std::uint64_t w0 = splitmix64(sm);
+    const std::uint64_t w1 = splitmix64(sm);
+    const std::uint64_t w2 = splitmix64(sm);
+    // The first output is scramble(w1); after one step, word 1 is
+    // w1 ^ w2 ^ w0, which the second output scrambles. Arrivals drawing
+    // 0 consume exactly the first word, so departures start at the
+    // second.
+    if ((Rng::scramble(w1) >> 11) <= arrivals_cut &&
+        (Rng::scramble(w0 ^ w1 ^ w2) >> 11) <= departures_cut) {
+      continue;
+    }
+    Rng rng;
+    rng.set_state({w0, w1, w2, splitmix64(sm)});
+    const Load d = draw_delta(rng);
+    if (d != 0) out.emplace_back(u, d);
+  }
 }
 
 void PoissonWorkload::save_state(StateWriter& w) const { w.u64(seed_); }

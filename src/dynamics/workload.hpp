@@ -26,8 +26,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/load_vector.hpp"
@@ -37,6 +39,29 @@
 
 namespace dlb {
 
+class ThreadPool;
+
+/// stream_key with its seed-only first SplitMix64 round done once: a
+/// scan over many (node, round) pairs of one seed pays two rounds per
+/// key instead of three. key(node, round) == stream_key(seed, node,
+/// round) by construction — stream_key is defined through it.
+class StreamKeys {
+ public:
+  explicit StreamKeys(std::uint64_t seed) noexcept
+      : state_(seed), head_(splitmix64(state_)) {}
+
+  std::uint64_t key(std::uint64_t node, std::uint64_t round) const noexcept {
+    std::uint64_t s = state_ ^ (node * 0x9e3779b97f4a7c15ULL);
+    std::uint64_t h = head_ ^ splitmix64(s);
+    s ^= round * 0xbf58476d1ce4e5b9ULL;
+    return h ^ splitmix64(s);
+  }
+
+ private:
+  std::uint64_t state_;  ///< SplitMix64 state after the seed round
+  std::uint64_t head_;   ///< the seed round's output
+};
+
 /// Counter-based per-(node, round) stream key: three SplitMix64 rounds
 /// over (seed, node, round). Workload generators seed a throwaway Rng
 /// from this instead of sharing one sequential stream, so any node's
@@ -44,13 +69,7 @@ namespace dlb {
 /// parallel injection byte-deterministic.
 inline std::uint64_t stream_key(std::uint64_t seed, std::uint64_t node,
                                 std::uint64_t round) noexcept {
-  std::uint64_t s = seed;
-  std::uint64_t h = splitmix64(s);
-  s ^= node * 0x9e3779b97f4a7c15ULL;
-  h ^= splitmix64(s);
-  s ^= round * 0xbf58476d1ce4e5b9ULL;
-  h ^= splitmix64(s);
-  return h;
+  return StreamKeys(seed).key(node, round);
 }
 
 /// Poisson(λ) draw, deterministic for a given Rng stream and libm.
@@ -88,16 +107,30 @@ class PoissonPlan {
 
   Load draw(Rng& rng) const;
 
+  /// True when a draw is one product draw (0 < λ <= kPoissonProductCap).
+  /// Such a draw returns 0 exactly when its first word x = rng.next()
+  /// has (x >> 11) <= zero_cutoff(): the uniform (x >> 11)·2^-53 is at
+  /// most exp(−λ) iff the 53-bit integer is at most floor(exp(−λ)·2^53),
+  /// both sides scaled by a power of two, so the test is exact.
+  bool single_product() const noexcept { return chunks_ == 1; }
+  std::uint64_t zero_cutoff() const noexcept { return zero_cutoff_; }
+
  private:
   double lambda_;
   int chunks_ = 0;      ///< product draws summed; 0 = normal regime or λ = 0
   double limit_ = 0.0;  ///< exp(−λ/chunks_), the product stop threshold
+  std::uint64_t zero_cutoff_ = 0;  ///< floor(limit_·2^53) when chunks_ == 1
   double sqrt_lambda_ = 0.0;
 };
 
+/// One nonzero workload delta: (node, net demand).
+using NodeDelta = std::pair<NodeId, Load>;
+
 /// Per-round load perturbation source. Attach to any round engine via
 /// RoundDriver::set_workload; the engine calls prepare() once per
-/// round (from its stepping thread) and then delta() for every node.
+/// round (from its stepping thread) and then delta() for the nodes of
+/// affected_nodes(), or nonzero_deltas() over node ranges covering
+/// every node when that list is absent.
 class WorkloadProcess {
  public:
   virtual ~WorkloadProcess() = default;
@@ -132,6 +165,22 @@ class WorkloadProcess {
   /// prepare(), must be a pure function of (u, t) — no shared writes.
   virtual Load delta(NodeId u, Step t) = 0;
 
+  /// Range form of delta(), the shape every dense scan runs through
+  /// (the engines' churn pass, the admission queue's inner scan),
+  /// mirroring Balancer::decide_range. Appends (u, delta(u, t)) to `out`
+  /// for every u in [first, last) whose delta is nonzero, in strictly
+  /// ascending u, and nothing else; `out` is not cleared. Zero deltas
+  /// may be skipped because applying one is a no-op. Calls on disjoint
+  /// ranges (each with its own `out`) may run concurrently iff
+  /// parallel_generate_safe(). Callers check the output against this
+  /// contract (collect_nonzero_deltas) — a bad entry throws, it never
+  /// reaches memory. Default: the delta() loop. Override it only with
+  /// a kernel that returns exactly those pairs, faster; a forwarding
+  /// wrapper should forward it to its inner process, or keep this
+  /// default, which reaches the inner process through its own delta().
+  virtual void nonzero_deltas(NodeId first, NodeId last, Step t,
+                              std::vector<NodeDelta>& out);
+
   /// True when delta() over disjoint node ranges may run concurrently
   /// (the counter-stream contract). Default: false — safe for any
   /// third-party process (e.g. one drawing from a sequential member RNG
@@ -165,6 +214,39 @@ class WorkloadProcess {
   virtual void save_state(StateWriter& w) const;
   virtual void load_state(StateReader& r);
 };
+
+/// Always-on bounds check of a workload's sparse affected-node list: the
+/// list crosses a trust boundary (any third-party process can return
+/// one) and is tiny by design, so the guard is free; a bad entry would
+/// otherwise corrupt memory in release builds. Every consumer of the
+/// list (both engines, the admission queue) checks each entry.
+inline void require_affected_node(std::int64_t u, std::size_t n) {
+  DLB_REQUIRE(u >= 0 && static_cast<std::size_t>(u) < n,
+              "workload affected node out of range");
+}
+
+/// Clears `out`, fills it with w.nonzero_deltas(first, last, t, out) and
+/// checks the result against that contract: every node in [first, last),
+/// strictly ascending, every delta nonzero. The output of any override
+/// crosses the same trust boundary as affected_nodes(), and the check is
+/// one compare per listed node. Throws invariant_error on a bad list.
+void collect_nonzero_deltas(WorkloadProcess& w, NodeId first, NodeId last,
+                            Step t, std::vector<NodeDelta>& out);
+
+/// The dense churn scan shared by the admission queue and the flat
+/// engine. Splits [0, n) into one contiguous block per pool chunk —
+/// block c of b is [c·n/b, (c+1)·n/b) — collects block c's checked
+/// nonzero deltas into lists[c] and then calls sink(lists[c]) on the
+/// thread that produced it. The blocks fan out over `pool` only when it
+/// is non-null with parallelism() > 1 and w.parallel_generate_safe();
+/// otherwise there is one block, scanned inline. On return `lists`
+/// holds exactly the blocks' pairs, concatenating to ascending node
+/// order, so a serial consumer can walk them identically at any pool
+/// size. `sink` may be empty.
+void scan_nonzero_deltas(
+    WorkloadProcess& w, NodeId n, Step t, ThreadPool* pool,
+    std::vector<std::vector<NodeDelta>>& lists,
+    const std::function<void(std::span<const NodeDelta>)>& sink);
 
 /// Deterministic per-node counter streams: node u injects
 /// `arrival_amount` tokens in every round with (t + u) % arrival_period
@@ -220,11 +302,29 @@ class PoissonWorkload : public WorkloadProcess {
   /// stream key — no shared stream, ranges may generate concurrently.
   bool parallel_generate_safe() const override { return true; }
 
+  /// Exactly the pairs of the delta() loop, faster when both plans are
+  /// single_product(): a node's delta is 0 whenever its stream's first
+  /// two words each pass their plan's zero_cutoff(), and those words
+  /// need only three of the Rng's four seeding rounds (word 1 feeds the
+  /// first output, words 0–2 the second). Such a node — ~90% of them at
+  /// λ = 0.05 per side — costs two key rounds, three seeding rounds and
+  /// two integer compares; any other node finishes its two draws from
+  /// the same words. Other regimes (λ = 0, split, normal) take the
+  /// default loop; delta() stays the reference.
+  void nonzero_deltas(NodeId first, NodeId last, Step t,
+                      std::vector<NodeDelta>& out) override;
+
   /// Snapshot state: the counter-stream seed.
   void save_state(StateWriter& w) const override;
   void load_state(StateReader& r) override;
 
  private:
+  /// Arrivals minus departures, drawn in that order from `rng`.
+  Load draw_delta(Rng& rng) const {
+    const Load arrivals = arrivals_.draw(rng);
+    return arrivals - departures_.draw(rng);
+  }
+
   Params params_;
   PoissonPlan arrivals_;
   PoissonPlan departures_;

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/assertions.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dlb {
 
@@ -101,19 +102,20 @@ void AdmissionQueue::prepare(Step t, std::span<const Load> loads) {
       backlog_tokens_ += d - granted;
     }
   };
-  ThreadPool* pool = ThreadPool::current();
   if (const std::vector<NodeId>* sparse = inner_->affected_nodes()) {
-    for (NodeId u : *sparse) take(u, inner_->delta(u, t));
-  } else if (pool != nullptr && pool->parallelism() > 1 &&
-             inner_->parallel_generate_safe()) {
-    // The draws fan out; admission walks their nonzero results in the
-    // same ascending node order as the serial scan below.
-    scan_inner(*pool, t);
+    for (NodeId u : *sparse) {
+      require_affected_node(u, static_cast<std::size_t>(n_));
+      take(u, inner_->delta(u, t));
+    }
+  } else {
+    // The draws fan out over a lent pool (when the inner process allows
+    // it); admission walks their nonzero results serially, in ascending
+    // node order at any pool size.
+    scan_nonzero_deltas(*inner_, n_, t, ThreadPool::current(), chunk_nonzero_,
+                        nullptr);
     for (const auto& block : chunk_nonzero_) {
       for (const auto& [u, d] : block) take(u, d);
     }
-  } else {
-    for (NodeId u = 0; u < n_; ++u) take(u, inner_->delta(u, t));
   }
 
   if (obs::metrics_armed()) {
@@ -121,32 +123,6 @@ void AdmissionQueue::prepare(Step t, std::span<const Load> loads) {
     m.backlog_entries.set(static_cast<std::int64_t>(backlog_.size()));
     m.backlog_tokens.set(backlog_total());
   }
-}
-
-void AdmissionQueue::scan_inner(ThreadPool& pool, Step t) {
-  const std::int64_t n = n_;
-  const std::int64_t blocks = std::min<std::int64_t>(pool.parallelism(), n);
-  chunk_nonzero_.resize(static_cast<std::size_t>(blocks));
-  // One block per pool chunk (for_ranges splits [0, blocks) into exactly
-  // `blocks` unit ranges), so block c is always nodes [c·n/b, (c+1)·n/b).
-  pool.for_ranges(blocks, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      auto& slot = chunk_nonzero_[static_cast<std::size_t>(c)];
-      // Fill a chunk-local vector and swap it in at the end: growing the
-      // slots in place makes the chunks write adjacent vector headers,
-      // which false-share and cost the whole parallel gain.
-      std::vector<std::pair<NodeId, Load>> list;
-      list.swap(slot);
-      list.clear();
-      const auto first = static_cast<NodeId>(c * n / blocks);
-      const auto last = static_cast<NodeId>((c + 1) * n / blocks);
-      for (NodeId u = first; u < last; ++u) {
-        const Load d = inner_->delta(u, t);
-        if (d != 0) list.emplace_back(u, d);
-      }
-      slot.swap(list);
-    }
-  });
 }
 
 Load AdmissionQueue::delta(NodeId u, Step /*t*/) {

@@ -16,14 +16,18 @@
 // the snapshot format carries only the pairs), so the per-round backlog
 // gauge and status line cost O(1) however long the backlog grows.
 //
-// Per-round cost is the inner process's delta scan — O(n) virtual draws
-// for a dense inner such as PoissonWorkload. When the engine lends its
-// pool (ThreadPool::current(), set around prepare() by parallel rounds)
-// and the inner process is dense and parallel_generate_safe(), that scan
+// Per-round cost is the inner process's delta scan — O(n) draws for a
+// dense inner such as PoissonWorkload, through its nonzero_deltas()
+// range method (PoissonWorkload's override decides most nodes' "no
+// churn" from two generator words). When the engine lends its pool
+// (ThreadPool::current(), set around prepare() by parallel rounds) and
+// the inner process is dense and parallel_generate_safe(), that scan
 // fans out into per-chunk lists of nonzero (node, delta) pairs. The FIFO
 // budget pass stays serial and walks the lists in ascending node order,
 // so the round table, the touched-node order and the backlog are
-// identical at any pool size, and to the serial step().
+// identical at any pool size, and to the serial step(). The inner
+// process's lists cross a trust boundary and are checked before any
+// entry indexes the round table.
 #pragma once
 
 #include <deque>
@@ -31,7 +35,6 @@
 #include <vector>
 
 #include "dynamics/workload.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dlb {
 
@@ -83,10 +86,6 @@ class AdmissionQueue : public WorkloadProcess {
   /// table; returns the amount admitted.
   Load admit(NodeId node, Load amount, Load budget);
 
-  /// Fills chunk_nonzero_ with the inner process's nonzero round-t
-  /// deltas, one contiguous ascending node block per pool chunk.
-  void scan_inner(ThreadPool& pool, Step t);
-
   WorkloadProcess* inner_;
   Params params_;
   NodeId n_ = 0;
@@ -94,8 +93,9 @@ class AdmissionQueue : public WorkloadProcess {
   Load backlog_tokens_ = 0;         // Σ amount over backlog_
   std::vector<Load> round_delta_;   // dense per-node table for delta()
   std::vector<NodeId> affected_;    // nodes touched this round
-  // Pooled scan output: block c's nonzero (node, delta) pairs, in order.
-  std::vector<std::vector<std::pair<NodeId, Load>>> chunk_nonzero_;
+  // Dense scan output: block c's nonzero (node, delta) pairs, in order
+  // (one block unless the scan fans out over a lent pool).
+  std::vector<std::vector<NodeDelta>> chunk_nonzero_;
 };
 
 }  // namespace dlb

@@ -310,11 +310,11 @@ void ShardedEngine::apply_workload() {
   }
   const NodeId w = reach_ >= 0 ? reach_ : 0;
   const bool logging = input_log_ != nullptr;
-  // Applies node u's delta on its owning shard (logged post-truncation).
-  const auto apply = [&](Shard& sh, NodeId u, ChurnTally& churn) {
-    const Load applied =
-        churn.apply(sh.window[static_cast<std::size_t>(w + (u - sh.begin))],
-                    workload->delta(u, t));
+  // Applies delta d to node u on its owning shard (logged
+  // post-truncation).
+  const auto apply = [&](Shard& sh, NodeId u, Load d, ChurnTally& churn) {
+    const Load applied = churn.apply(
+        sh.window[static_cast<std::size_t>(w + (u - sh.begin))], d);
     if (logging && applied != 0) {
       sh.log_scratch.workload.emplace_back(u, applied);
     }
@@ -323,20 +323,22 @@ void ShardedEngine::apply_workload() {
     ChurnTally churn;
     for (const NodeId u : *sparse) {
       require_affected_node(u, static_cast<std::size_t>(part_.num_nodes()));
-      apply(shards_[static_cast<std::size_t>(part_.owner(u))], u, churn);
+      apply(shards_[static_cast<std::size_t>(part_.owner(u))], u,
+            workload->delta(u, t), churn);
     }
     record_churn(churn);
     return;
   }
-  // Dense: per-shard partials, combined with commutative integer adds —
-  // identical totals for any shard count or pool size (the flat engine's
-  // per-chunk argument, with shards as the chunks).
+  // Dense: each shard draws its own slice's nonzero deltas (the flat
+  // engine's block scan, with shards as the blocks). Per-shard partials,
+  // combined with commutative integer adds — identical totals for any
+  // shard count or pool size.
   for_shards(workload->parallel_generate_safe(), [&](int s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.churn = ChurnTally{};
-    for (NodeId u = sh.begin; u < sh.begin + sh.size; ++u) {
-      apply(sh, u, sh.churn);
-    }
+    collect_nonzero_deltas(*workload, sh.begin, sh.begin + sh.size, t,
+                           sh.churn_deltas);
+    for (const auto& [u, d] : sh.churn_deltas) apply(sh, u, d, sh.churn);
   });
   for (const Shard& sh : shards_) record_churn(sh.churn);
 }

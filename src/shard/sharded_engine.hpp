@@ -236,6 +236,7 @@ class ShardedEngine : public RoundDriver {
     Load round_min = 0;        ///< this round's emitted min (merged later)
     Load round_max = 0;
     ChurnTally churn;          ///< this round's workload partials
+    std::vector<NodeDelta> churn_deltas;  ///< this round's nonzero deltas
     obs::Counter* bytes_posted = nullptr;   ///< channel bytes this shard sent
     obs::Counter* bytes_drained = nullptr;  ///< channel bytes it received
   };

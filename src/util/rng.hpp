@@ -46,7 +46,7 @@ class Rng {
 
   /// Raw 64 uniform bits.
   std::uint64_t next() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t result = scramble(state_[1]);
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
     state_[3] ^= state_[1];
@@ -108,6 +108,14 @@ class Rng {
   std::array<std::uint64_t, 4> state() const noexcept { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& s) noexcept {
     state_ = s;
+  }
+
+  /// The ** output scrambler: next() returns scramble(state word 1).
+  /// Exposed so batched counter-stream kernels can predict a fresh
+  /// generator's first outputs from its seeding words without building
+  /// it (PoissonWorkload::nonzero_deltas).
+  static constexpr std::uint64_t scramble(std::uint64_t s1) noexcept {
+    return rotl(s1 * 5, 7) * 9;
   }
 
  private:

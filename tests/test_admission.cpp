@@ -86,7 +86,10 @@ class ProbeWorkload final : public WorkloadProcess {
   bool out_of_order_ = false;
 };
 
-enum class Inner { kPoisson, kBurst, kSerialPoisson };
+// kDirectPoisson: the queue wraps the PoissonWorkload itself, no probe,
+// so its scan runs through PoissonWorkload's own nonzero_deltas kernel
+// (the probe only has the default delta() loop).
+enum class Inner { kPoisson, kBurst, kSerialPoisson, kDirectPoisson };
 
 enum class Stepping { kStep, kStepParallel };
 
@@ -143,10 +146,14 @@ struct Rig {
       inner = std::make_unique<PoissonWorkload>(
           PoissonWorkload::Params{.arrival_rate = 0.3, .departure_rate = 0.05});
     }
-    probe = std::make_unique<ProbeWorkload>(*inner,
-                                            kind != Inner::kSerialPoisson);
+    WorkloadProcess* wrapped = inner.get();
+    if (kind != Inner::kDirectPoisson) {
+      probe = std::make_unique<ProbeWorkload>(*inner,
+                                              kind != Inner::kSerialPoisson);
+      wrapped = probe.get();
+    }
     queue = std::make_unique<AdmissionQueue>(
-        *probe, AdmissionQueue::Params{.round_cap = cap});
+        *wrapped, AdmissionQueue::Params{.round_cap = cap});
     queue->reset(g.num_nodes(), 42);
     engine = std::make_unique<Engine>(
         g, EngineConfig{.self_loops = g.degree()}, *balancer,
@@ -233,6 +240,26 @@ TEST(PooledAdmission, IdenticalAtEveryPoolSizeAndSteppingMode) {
         // The pool is lent to prepare() exactly on parallel rounds.
         const bool lent = how == Stepping::kStepParallel && threads > 1;
         EXPECT_EQ(rig.probe->lent_pool_rounds(), lent ? kRounds : 0);
+      }
+    }
+  }
+}
+
+TEST(PooledAdmission, DirectPoissonInnerMatchesTheProbedReference) {
+  // The same legs with the queue wrapping PoissonWorkload directly: its
+  // two-word nonzero_deltas kernel must reproduce the probed delta()
+  // loop's reference trace at every pool size and stepping mode.
+  for (const Load cap : {kTightCap, kLooseCap}) {
+    const Trace ref = reference(Inner::kPoisson, cap);
+    for (const int threads : {0, 1, 2, 3, 8}) {
+      for (const Stepping how : {Stepping::kStep, Stepping::kStepParallel}) {
+        Rig rig(Inner::kDirectPoisson, cap, threads);
+        Trace t;
+        rig.run(kRounds, how, t);
+        expect_same(t, ref,
+                    "direct cap=" + std::to_string(cap) + " threads=" +
+                        std::to_string(threads) + " step_parallel=" +
+                        std::to_string(how == Stepping::kStepParallel));
       }
     }
   }
@@ -325,6 +352,45 @@ TEST(AdmissionQueue, BacklogTotalIsARunningSumOfTheDeque) {
   EXPECT_THROW(restored.load_state(bad_reader), serial_error);
   EXPECT_EQ(restored.backlog_total(), 0);
   EXPECT_EQ(restored.backlog_entries(), 0u);
+}
+
+/// A third-party inner process that breaks the list contracts: a sparse
+/// list naming node n (one past the last), or a dense range list with a
+/// node outside its range.
+class RogueInner final : public WorkloadProcess {
+ public:
+  explicit RogueInner(bool sparse) : sparse_(sparse) {}
+  std::string name() const override { return "rogue"; }
+  void reset(NodeId n, std::uint64_t) override { list_ = {n}; }
+  Load delta(NodeId, Step) override { return 3; }
+  bool parallel_generate_safe() const override { return true; }
+  const std::vector<NodeId>* affected_nodes() const override {
+    return sparse_ ? &list_ : nullptr;
+  }
+  void nonzero_deltas(NodeId /*first*/, NodeId last, Step /*t*/,
+                      std::vector<NodeDelta>& out) override {
+    out.emplace_back(last, 3);
+  }
+
+ private:
+  bool sparse_;
+  std::vector<NodeId> list_;
+};
+
+TEST(AdmissionQueue, RejectsAnInnerListNamingANodeOutOfRange) {
+  // Without the checks the queue would write round_delta_[n], past the
+  // end of its table, in every build.
+  LoadVector loads(32, 0);
+  for (const bool sparse : {true, false}) {
+    SCOPED_TRACE(sparse ? "sparse list" : "range list");
+    RogueInner inner(sparse);
+    AdmissionQueue q(inner, AdmissionQueue::Params{.round_cap = 5});
+    q.reset(32, 1);
+    EXPECT_THROW(q.prepare(0, loads), invariant_error);
+    ThreadPool pool(3);
+    ThreadPool::Scope lent(&pool);
+    EXPECT_THROW(q.prepare(1, loads), invariant_error);
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "irregular/igraph.hpp"
 #include "markov/spectral.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dlb {
@@ -188,16 +189,54 @@ TEST(PoissonDraw, GoldenDigestsPinEveryRegime) {
   }
 }
 
+TEST(PoissonPlan, ZeroCutoffDecidesTheFirstWordExactly) {
+  // A single-product draw is 0 iff its first word x has (x >> 11) <=
+  // zero_cutoff(). Random draws almost never land on the seam, so
+  // build generators whose first output sits exactly on and beside it:
+  // state word 1 is the scrambler's preimage of the wanted output.
+  const auto inverse = [](std::uint64_t odd) {
+    std::uint64_t inv = odd;  // Newton: 3, 6, 12, 24, 48, 96 bits
+    for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+    return inv;
+  };
+  const auto unscramble = [&](std::uint64_t x) {
+    const std::uint64_t a = x * inverse(9);
+    return ((a >> 7) | (a << 57)) * inverse(5);
+  };
+  for (const double lambda : {1e-9, 0.05, 1.0, 63.9, 64.0}) {
+    SCOPED_TRACE(lambda);
+    const PoissonPlan plan(lambda);
+    ASSERT_TRUE(plan.single_product());
+    const std::uint64_t cut = plan.zero_cutoff();
+    for (const std::uint64_t m : {cut - 1, cut, cut + 1}) {
+      for (const std::uint64_t low : {0ULL, 0x7ffULL}) {
+        const std::uint64_t x = (m << 11) | low;
+        ASSERT_EQ(Rng::scramble(unscramble(x)), x);
+        Rng rng;
+        rng.set_state({0x1234ULL, unscramble(x), 0x5678ULL, 0x9abcULL});
+        EXPECT_EQ(plan.draw(rng) == 0, m <= cut)
+            << "m - cut = " << static_cast<std::int64_t>(m - cut);
+      }
+    }
+  }
+  EXPECT_FALSE(PoissonPlan(0.0).single_product());
+  EXPECT_FALSE(PoissonPlan(64.5).single_product());
+  EXPECT_FALSE(PoissonPlan(5000.0).single_product());
+}
+
+/// Recorded digests of PoissonWorkload's (node, round) delta grid, one
+/// per golden rate; every way of producing the grid must reproduce them.
+constexpr std::uint64_t kGoldenDeltaDigests[] = {
+    0x1bc695d5264e64b4ULL, 0x1e9a4ecbf128bd5fULL, 0x6efecccf3af2334eULL,
+    0x4d27451e9a5fa437ULL, 0x383eab63c6b6d894ULL, 0xad2526a63413dc59ULL,
+    0x50dd33770cabd928ULL,
+};
+
 TEST(PoissonWorkload, GoldenDeltaDigestsPinEveryRegime) {
   // PoissonWorkload's own per-rate plans, built once at construction:
   // each golden rate as the arrival side against a small departure
   // rate, over a (node, round) grid, digested against the recorded
   // per-draw implementation.
-  constexpr std::uint64_t kExpected[] = {
-      0x1bc695d5264e64b4ULL, 0x1e9a4ecbf128bd5fULL, 0x6efecccf3af2334eULL,
-      0x4d27451e9a5fa437ULL, 0x383eab63c6b6d894ULL, 0xad2526a63413dc59ULL,
-      0x50dd33770cabd928ULL,
-  };
   for (std::size_t i = 0; i < std::size(kGoldenRates); ++i) {
     SCOPED_TRACE(kGoldenRates[i]);
     PoissonWorkload w({.arrival_rate = kGoldenRates[i],
@@ -207,7 +246,106 @@ TEST(PoissonWorkload, GoldenDeltaDigestsPinEveryRegime) {
     for (Step t = 0; t < 40; ++t) {
       for (NodeId u = 0; u < 128; ++u) digest.add(w.delta(u, t));
     }
-    EXPECT_EQ(digest.h, kExpected[i]) << std::hex << digest.h;
+    EXPECT_EQ(digest.h, kGoldenDeltaDigests[i]) << std::hex << digest.h;
+  }
+}
+
+namespace {
+
+/// The reference for nonzero_deltas: the delta() loop, zeros dropped.
+std::vector<NodeDelta> delta_loop_pairs(WorkloadProcess& w, NodeId first,
+                                        NodeId last, Step t) {
+  std::vector<NodeDelta> pairs;
+  for (NodeId u = first; u < last; ++u) {
+    if (const Load d = w.delta(u, t); d != 0) pairs.emplace_back(u, d);
+  }
+  return pairs;
+}
+
+/// nonzero_deltas over [0, n) in pieces cut at `cuts`, concatenated.
+std::vector<NodeDelta> range_pairs(WorkloadProcess& w, NodeId n, Step t,
+                                   const std::vector<NodeId>& cuts) {
+  std::vector<NodeDelta> pairs;
+  NodeId first = 0;
+  for (NodeId cut : cuts) {
+    w.nonzero_deltas(first, cut, t, pairs);
+    first = cut;
+  }
+  w.nonzero_deltas(first, n, t, pairs);
+  return pairs;
+}
+
+}  // namespace
+
+TEST(PoissonWorkload, RangeMethodReproducesGoldenDeltaDigests) {
+  // The recorded grid digests, rebuilt from nonzero_deltas output
+  // expanded back to a dense grid over ranges whose ends are not
+  // multiples of 4 (and one empty range).
+  for (std::size_t i = 0; i < std::size(kGoldenRates); ++i) {
+    SCOPED_TRACE(kGoldenRates[i]);
+    PoissonWorkload w({.arrival_rate = kGoldenRates[i],
+                       .departure_rate = 0.05});
+    w.reset(128, 17 + i);
+    Fnv64 digest;
+    for (Step t = 0; t < 40; ++t) {
+      std::vector<Load> grid(128, 0);
+      for (const auto& [u, d] : range_pairs(w, 128, t, {5, 5, 67, 127})) {
+        grid[static_cast<std::size_t>(u)] = d;
+      }
+      for (Load d : grid) digest.add(d);
+    }
+    EXPECT_EQ(digest.h, kGoldenDeltaDigests[i]) << std::hex << digest.h;
+  }
+}
+
+TEST(PoissonWorkload, RangeMethodEqualsDeltaLoopInEveryRegime) {
+  // Both plans in the product regime take the two-word kernel; a zero
+  // rate on either side, the split regime and the normal regime take the
+  // default loop. Rounds near 2^40 exercise the high key bits.
+  const std::pair<double, double> rates[] = {
+      {0.05, 0.05}, {0.3, 0.05}, {1e-9, 2.5}, {63.9, 64.0}, {0.0, 0.05},
+      {0.05, 0.0},  {0.0, 0.0},  {64.5, 0.05}, {0.05, 5000.0},
+  };
+  const Step kT40 = Step{1} << 40;
+  for (const auto& [in, out] : rates) {
+    for (const std::uint64_t seed : {0ULL, 3ULL, 0x9e3779b97f4a7c15ULL}) {
+      PoissonWorkload w({.arrival_rate = in, .departure_rate = out});
+      w.reset(203, seed);
+      for (const Step t : {Step{0}, Step{1}, Step{77}, kT40 - 1, kT40,
+                           kT40 + 3}) {
+        SCOPED_TRACE(w.name() + " seed=" + std::to_string(seed) +
+                     " t=" + std::to_string(t));
+        EXPECT_EQ(range_pairs(w, 203, t, {1, 6, 7, 130}),
+                  delta_loop_pairs(w, 0, 203, t));
+        std::vector<NodeDelta> mid;
+        w.nonzero_deltas(13, 99, t, mid);
+        EXPECT_EQ(mid, delta_loop_pairs(w, 13, 99, t));
+      }
+    }
+  }
+}
+
+TEST(WorkloadProcess, DefaultRangeMethodIsTheDeltaLoop) {
+  // The processes without an override: after each round's prepare(),
+  // nonzero_deltas is exactly the delta() loop, dense or sparse round.
+  std::vector<std::unique_ptr<WorkloadProcess>> ps;
+  ps.push_back(std::make_unique<CounterWorkload>(CounterWorkload::Params{
+      .arrival_period = 3, .arrival_amount = 2, .departure_period = 5,
+      .departure_amount = 1}));
+  ps.push_back(std::make_unique<BurstWorkload>(BurstWorkload::Params{
+      .period = 4, .burst = 64, .drain_period = 6, .drain_amount = 1}));
+  ps.push_back(std::make_unique<AdversarialInjector>(
+      AdversarialInjector::Params{.amount = 8, .period = 2,
+                                  .drain_min = true}));
+  const LoadVector loads = random_initial(37, 40, 5);
+  for (auto& w : ps) {
+    w->reset(37, 11);
+    for (Step t = 0; t < 13; ++t) {
+      SCOPED_TRACE(w->name() + " t=" + std::to_string(t));
+      w->prepare(t, loads);
+      EXPECT_EQ(range_pairs(*w, 37, t, {3, 3, 18}),
+                delta_loop_pairs(*w, 0, 37, t));
+    }
   }
 }
 
@@ -454,6 +592,61 @@ TEST(SparseWorkload, FastPathMatchesDenseScanTrajectoryAndLedger) {
         ASSERT_EQ(sparse_e.consumed_total(), dense_e.consumed_total())
             << where() << " at step " << t + 1;
       }
+    }
+  }
+}
+
+/// A dense third-party process whose nonzero_deltas override breaks the
+/// contract in one way; its delta() is the honest +1 everywhere.
+class RogueRange : public WorkloadProcess {
+ public:
+  enum class Fault { kPastLast, kBeforeFirst, kUnsorted, kZero };
+  explicit RogueRange(Fault fault) : fault_(fault) {}
+  std::string name() const override { return "rogue-range"; }
+  void reset(NodeId, std::uint64_t) override {}
+  Load delta(NodeId, Step) override { return 1; }
+  bool parallel_generate_safe() const override { return true; }
+  void nonzero_deltas(NodeId first, NodeId last, Step t,
+                      std::vector<NodeDelta>& out) override {
+    WorkloadProcess::nonzero_deltas(first, last, t, out);
+    switch (fault_) {
+      case Fault::kPastLast: out.emplace_back(last, 1); break;
+      case Fault::kBeforeFirst: out.front().first = first - 1; break;
+      case Fault::kUnsorted: std::swap(out.front(), out.back()); break;
+      case Fault::kZero: out.back().second = 0; break;
+    }
+  }
+
+ private:
+  Fault fault_;
+};
+
+TEST(DenseWorkload, EnginesRejectABadRangeListBeforeApplyingIt) {
+  // The range list crosses the same trust boundary as affected_nodes():
+  // an entry outside the range, out of order or zero throws, on the flat
+  // engine (serial and pooled) and on the sharded engine, instead of
+  // indexing memory it does not own.
+  const Graph g = make_cycle(16);
+  const LoadVector initial(16, 4);
+  ThreadPool pool(3);
+  for (const auto fault :
+       {RogueRange::Fault::kPastLast, RogueRange::Fault::kBeforeFirst,
+        RogueRange::Fault::kUnsorted, RogueRange::Fault::kZero}) {
+    RogueRange w(fault);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SendFloor b;
+      Engine flat(g, EngineConfig{.self_loops = g.degree()}, b, initial);
+      flat.set_workload(&w);
+      flat.set_thread_pool(p);
+      EXPECT_THROW(flat.step_parallel(), invariant_error);
+
+      SendFloor sb;
+      ShardedEngineConfig config;
+      config.self_loops = g.degree();
+      ShardedEngine sharded(g, config, sb, initial, 4);
+      sharded.set_workload(&w);
+      sharded.set_thread_pool(p);
+      EXPECT_THROW(sharded.step_parallel(), invariant_error);
     }
   }
 }
