@@ -20,6 +20,7 @@ struct FlatPhases {
   obs::Histogram& decide;
   obs::Histogram& apply;
   obs::Histogram& scatter;  ///< fused decide+apply of the implicit path
+  obs::Histogram& observe;  ///< attached StepObservers, row path only
 };
 
 FlatPhases& flat_phases() {
@@ -37,6 +38,8 @@ FlatPhases& flat_phases() {
                       {{"engine", "flat"}, {"phase", "apply"}}),
         reg.histogram(name, help, obs::phase_seconds_bounds(),
                       {{"engine", "flat"}, {"phase", "scatter"}}),
+        reg.histogram(name, help, obs::phase_seconds_bounds(),
+                      {{"engine", "flat"}, {"phase", "observe"}}),
     };
   }();
   return *p;
@@ -157,32 +160,42 @@ void Engine::step_rows(ThreadPool* pool) {
       balancer_->decide_range(0, n, loads_, time(), sink);
     }
   }
-  obs::PhaseScope phase(flat_phases().apply, "apply", "flat", "t", time() + 1);
   // The pull phase dispatches on the topology tag once per round: on
   // cycle/torus/hypercube every neighbor and rev_port is computed in
   // registers, the tables are never streamed.
   Load round_min = 0;
   Load round_max = 0;
-  with_topology(*g_, [&](const auto& topo) {
-    if (pool != nullptr) {
-      std::atomic<Load> lo{std::numeric_limits<Load>::max()};
-      std::atomic<Load> hi{std::numeric_limits<Load>::min()};
-      pool->for_ranges(n, [&](std::int64_t first, std::int64_t last) {
-        Load range_min;
-        Load range_max;
-        apply_rows(topo, static_cast<NodeId>(first), static_cast<NodeId>(last),
-                   next_.data(), range_min, range_max);
-        atomic_min(lo, range_min);
-        atomic_max(hi, range_max);
-      });
-      round_min = lo.load(std::memory_order_relaxed);
-      round_max = hi.load(std::memory_order_relaxed);
-    } else {
-      apply_rows(topo, 0, n, next_.data(), round_min, round_max);
+  {
+    obs::PhaseScope phase(flat_phases().apply, "apply", "flat", "t",
+                          time() + 1);
+    with_topology(*g_, [&](const auto& topo) {
+      if (pool != nullptr) {
+        std::atomic<Load> lo{std::numeric_limits<Load>::max()};
+        std::atomic<Load> hi{std::numeric_limits<Load>::min()};
+        pool->for_ranges(n, [&](std::int64_t first, std::int64_t last) {
+          Load range_min;
+          Load range_max;
+          apply_rows(topo, static_cast<NodeId>(first),
+                     static_cast<NodeId>(last), next_.data(), range_min,
+                     range_max);
+          atomic_min(lo, range_min);
+          atomic_max(hi, range_max);
+        });
+        round_min = lo.load(std::memory_order_relaxed);
+        round_max = hi.load(std::memory_order_relaxed);
+      } else {
+        apply_rows(topo, 0, n, next_.data(), round_min, round_max);
+      }
+    });
+  }
+  // Observers get their own phase, so the apply histogram and span time
+  // the pull alone.
+  if (!observers_.empty()) {
+    obs::PhaseScope phase(flat_phases().observe, "observe", "flat", "t",
+                          time() + 1);
+    for (StepObserver* o : observers_) {
+      o->on_step(time() + 1, *g_, config_.self_loops, loads_, flows_, next_);
     }
-  });
-  for (StepObserver* o : observers_) {
-    o->on_step(time() + 1, *g_, config_.self_loops, loads_, flows_, next_);
   }
   loads_.swap(next_);
   publish_round_stats(round_min, round_max);

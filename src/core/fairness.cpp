@@ -19,6 +19,15 @@ void FairnessAuditor::on_step(Step /*t*/, const Graph& g, int d_loops,
     initialized_ = true;
   }
   const int d_plus = d_ + d_loops_;
+  // The auditor's cumulative rows are sized by its first step: reused on
+  // another run it must see the same shape, or its reads leave `pre`,
+  // `flows` and `cum_`.
+  DLB_REQUIRE(g.num_nodes() == n_ && g.degree() == d_ &&
+                  d_loops == d_loops_ &&
+                  pre.size() == static_cast<std::size_t>(n_) &&
+                  flows.size() == static_cast<std::size_t>(n_) * d_plus,
+              "FairnessAuditor: step shape differs from its first step "
+              "(an auditor audits one run)");
 
   for (NodeId u = 0; u < n_; ++u) {
     const Load x = pre[static_cast<std::size_t>(u)];

@@ -49,7 +49,9 @@ struct FairnessReport {
   Step steps = 0;
 };
 
-/// StepObserver that incrementally builds a FairnessReport.
+/// StepObserver that incrementally builds a FairnessReport. It audits one
+/// run: every step must have the shape (graph size, degree, d°, span
+/// sizes) of its first, and a mismatch throws invariant_error.
 class FairnessAuditor : public StepObserver {
  public:
   FairnessAuditor() = default;

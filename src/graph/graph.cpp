@@ -54,6 +54,32 @@ NodeId Graph::implicit_neighbor(NodeId u, int port) const {
                        [&](const auto& topo) { return topo.neighbor(u, port); });
 }
 
+std::uint64_t Graph::adjacency_fingerprint() const {
+  // The value is the whole payload, so relaxed ordering suffices: a reader
+  // sees either 0 (and computes) or the one value every caller computes.
+  std::uint64_t h = fingerprint_.value.load(std::memory_order_relaxed);
+  if (h != 0) return h;
+  h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](NodeId entry) {
+    const auto v = static_cast<std::uint32_t>(entry);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * byte));
+      h *= 0x100000001b3ULL;
+    }
+  };
+  if (is_implicit()) {
+    with_topology(*this, [&](const auto& topo) {
+      for (NodeId u = 0; u < n_; ++u) {
+        for (int p = 0; p < d_; ++p) mix(topo.neighbor(u, p));
+      }
+    });
+  } else {
+    for (const NodeId entry : adj_) mix(entry);
+  }
+  fingerprint_.value.store(h, std::memory_order_relaxed);
+  return h;
+}
+
 Graph Graph::without_structure() const {
   DLB_REQUIRE(!is_implicit(),
               "without_structure: an implicit graph has no table path");

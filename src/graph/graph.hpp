@@ -13,8 +13,13 @@
 // model can produce them); self-edges in G are rejected unless the
 // caller opts in (the Margulis expander, and irregular graphs padded to a
 // uniform degree by pad_to_regular, whose extra ports are self-edges).
+//
+// A Graph is immutable after construction. Its one piece of mutable state
+// is the lazily computed adjacency fingerprint (adjacency_fingerprint()),
+// published through an atomic so concurrent readers stay race-free.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -143,6 +148,19 @@ class Graph {
   /// arithmetic only; the raw table accessors below must not be used.
   bool is_implicit() const noexcept { return adj_.empty(); }
 
+  /// Endian-stable fingerprint of the port tables: FNV-1a 64 over every
+  /// adjacency entry as four little-endian bytes, in layout order [u*d + p].
+  /// Two graphs fingerprint equal iff their flat adjacency arrays are
+  /// identical (rev ports are derived, so they need no separate hash). An
+  /// implicit graph hashes the entries its table *would* hold, so it
+  /// fingerprints like its materialized twin and snapshots move freely
+  /// between the two. Snapshots persist this value (service/snapshot.hpp).
+  ///
+  /// O(n·d) on the first call, then cached: the graph is immutable. The
+  /// cache is published atomically (racing first calls compute the same
+  /// value), and copies carry it. Construction never hashes.
+  std::uint64_t adjacency_fingerprint() const;
+
   /// Copy of this graph with the structure tag stripped, forcing every
   /// kernel onto the generic table path. The implicit≡generic golden
   /// tests and the BM_StepImplicit_* / BM_StepGeneric_* bench pairs run
@@ -170,6 +188,20 @@ class Graph {
   /// invariant_error on the first mismatch.
   void verify_structure() const;
 
+  /// Copyable holder of the lazily published fingerprint. 0 means "not
+  /// computed yet"; a graph whose true fingerprint is 0 just recomputes it.
+  struct FingerprintCache {
+    mutable std::atomic<std::uint64_t> value{0};
+    FingerprintCache() = default;
+    FingerprintCache(const FingerprintCache& other) noexcept
+        : value(other.value.load(std::memory_order_relaxed)) {}
+    FingerprintCache& operator=(const FingerprintCache& other) noexcept {
+      value.store(other.value.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   NodeId n_;
   int d_;
   std::vector<NodeId> adj_;
@@ -177,6 +209,7 @@ class Graph {
   std::string name_;
   bool has_parallel_ = false;
   StructureInfo structure_;
+  FingerprintCache fingerprint_;
 };
 
 }  // namespace dlb

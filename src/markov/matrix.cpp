@@ -13,8 +13,10 @@ TransitionOperator::TransitionOperator(const Graph& g, int self_loops)
   DLB_REQUIRE(g.degree() + self_loops > 0, "balancing degree must be positive");
 }
 
-void TransitionOperator::apply(std::span<const double> x,
-                               std::span<double> y) const {
+// Cache-line aligned, like spectral_gap (see there): the power
+// iteration's inner loop then sits at the same offsets in every build.
+[[gnu::aligned(64)]] void TransitionOperator::apply(
+    std::span<const double> x, std::span<double> y) const {
   const auto n = static_cast<std::size_t>(g_->num_nodes());
   DLB_REQUIRE(x.size() == n && y.size() == n, "apply: size mismatch");
   const double inv_dplus = 1.0 / balancing_degree();

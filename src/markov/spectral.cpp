@@ -24,8 +24,16 @@ double deflate_and_norm(std::vector<double>& x) {
 
 }  // namespace
 
-SpectralResult spectral_gap(const Graph& g, int self_loops, double tol,
-                            int max_iters) {
+// The power iteration is a few short loops run thousands of times, and
+// its speed followed where the linker happened to place them: with this
+// file unchanged and the same data addresses, table1's set-up (this call
+// on the 1024-node random-regular graph) read 37 ms in one build of the
+// library and 48 ms in another. Starting this function and TransitionOperator::apply on a cache
+// line fixes their loops' offsets, so an unrelated change elsewhere in
+// the library no longer moves this time.
+[[gnu::aligned(64)]] SpectralResult spectral_gap(const Graph& g,
+                                                 int self_loops, double tol,
+                                                 int max_iters) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   DLB_REQUIRE(n >= 2, "spectral_gap needs n >= 2");
   const TransitionOperator op(g, self_loops);

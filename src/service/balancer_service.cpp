@@ -7,6 +7,7 @@
 #include <fstream>
 #include <ostream>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -190,18 +191,20 @@ Step BalancerService::run(Step rounds) {
 
 void BalancerService::checkpoint() {
   if (options_.checkpoint_path.empty()) return;
-  // Capture once, retry only the write: the state is consistent no
-  // matter which attempt lands it. The previous good checkpoint stays
-  // intact throughout (write_file replaces atomically or not at all).
+  // Capture and serialize once, retry only the write: the image is
+  // consistent no matter which attempt lands it. The previous good
+  // checkpoint stays intact throughout (write_image replaces atomically
+  // or not at all).
   const int attempts = std::max(1, options_.checkpoint_write_retries);
   bool written = false;
   {
     obs::PhaseScope phase(service_metrics().checkpoint_seconds, "checkpoint",
                           "service", "t", engine_->time());
-    const EngineSnapshot snap = EngineSnapshot::capture(*engine_, tracker_);
+    const std::vector<std::uint8_t> image =
+        EngineSnapshot::capture(*engine_, tracker_).serialize();
     for (int attempt = 0; attempt < attempts; ++attempt) {
       try {
-        snap.write_file(options_.checkpoint_path);
+        EngineSnapshot::write_image(options_.checkpoint_path, image);
         written = true;
         break;
       } catch (const serial_error& e) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -10,7 +11,6 @@
 #include <type_traits>
 
 #include "dynamics/workload.hpp"
-#include "graph/topology.hpp"
 #include "shard/sharded_engine.hpp"
 
 namespace dlb {
@@ -18,37 +18,6 @@ namespace dlb {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x31504E53424C44ULL;  // "DLBSNP1\0" LE
-
-/// Endian-stable hash of the port tables: each adjacency entry as four
-/// little-endian bytes, in layout order. Two graphs hash equal iff their
-/// flat adjacency arrays are identical (rev ports are derived, so they
-/// need no separate hash).
-std::uint64_t hash_adjacency(const Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](NodeId entry) {
-    const auto v = static_cast<std::uint32_t>(entry);
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * byte));
-      h *= 0x100000001b3ULL;
-    }
-  };
-  if (g.is_implicit()) {
-    // No table exists — hash the entries it *would* hold, in layout
-    // order, so an implicit graph and its materialized twin fingerprint
-    // identically (snapshots move freely between the two).
-    const int d = g.degree();
-    with_topology(g, [&](const auto& topo) {
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        for (int p = 0; p < d; ++p) mix(topo.neighbor(u, p));
-      }
-    });
-    return h;
-  }
-  const NodeId* adj = g.adjacency_data();
-  const std::int64_t entries = g.num_directed_edges();
-  for (std::int64_t i = 0; i < entries; ++i) mix(adj[i]);
-  return h;
-}
 
 void check(bool ok, const char* what) {
   if (!ok) throw serial_error(what);
@@ -81,7 +50,7 @@ EngineSnapshot EngineSnapshot::capture_impl(const EngineT& engine,
   s.self_loops_ = engine.self_loops();
   s.structure_kind_ = static_cast<std::uint8_t>(g.structure().kind);
   s.extents_ = g.structure().extents;
-  s.adjacency_hash_ = hash_adjacency(g);
+  s.adjacency_hash_ = g.adjacency_fingerprint();
   s.graph_name_ = g.name();
   s.balancer_name_ = engine.balancer().name();
   s.capture_state(engine, tracker);
@@ -139,7 +108,7 @@ void EngineSnapshot::restore_impl(EngineT& engine,
         "snapshot restore: graph structure tag mismatch");
   check(g.structure().extents == extents_,
         "snapshot restore: torus extents mismatch");
-  check(hash_adjacency(g) == adjacency_hash_,
+  check(g.adjacency_fingerprint() == adjacency_hash_,
         "snapshot restore: adjacency table mismatch (different topology)");
   check(engine.balancer().name() == balancer_name_,
         "snapshot restore: balancer mismatch");
@@ -223,30 +192,48 @@ void EngineSnapshot::restore(ShardedEngine& engine,
 }
 
 std::vector<std::uint8_t> EngineSnapshot::serialize() const {
-  StateWriter payload;
-  payload.i32(n_);
-  payload.i32(d_);
-  payload.i32(self_loops_);
-  payload.u8(structure_kind_);
-  payload.vec_i32(extents_);
-  payload.u64(adjacency_hash_);
-  payload.str(graph_name_);
-  payload.str(balancer_name_);
-  payload.str(workload_name_);
-  payload.i64(time_);
-  payload.b(has_tracker_);
-  put_blob(payload, core_blob_);
-  put_blob(payload, balancer_blob_);
-  put_blob(payload, workload_blob_);
-  put_blob(payload, tracker_blob_);
+  // Header and payload share one exactly-sized buffer: the payload is
+  // written after a placeholder header, whose length and checksum are
+  // patched in once the payload is complete.
+  constexpr std::size_t kHeader = 8 + 4 + 8 + 8;  // magic, version, len, sum
+  constexpr std::size_t kLenAt = 8 + 4;
+  // n, d, self-loops, structure tag, adjacency hash, time, tracker flag,
+  // and the eight length prefixes (extents, three names, four blobs).
+  constexpr std::size_t kFixed = 3 * 4 + 1 + 8 + 8 + 1 + 8 * 8;
+  StateWriter w;
+  w.reserve(kHeader + kFixed + 4 * extents_.size() + graph_name_.size() +
+            balancer_name_.size() + workload_name_.size() + core_blob_.size() +
+            balancer_blob_.size() + workload_blob_.size() +
+            tracker_blob_.size());
+  w.u64(kMagic);
+  w.u32(kFormatVersion);
+  w.u64(0);  // payload length, patched below
+  w.u64(0);  // payload checksum, patched below
+  w.i32(n_);
+  w.i32(d_);
+  w.i32(self_loops_);
+  w.u8(structure_kind_);
+  w.vec_i32(extents_);
+  w.u64(adjacency_hash_);
+  w.str(graph_name_);
+  w.str(balancer_name_);
+  w.str(workload_name_);
+  w.i64(time_);
+  w.b(has_tracker_);
+  put_blob(w, core_blob_);
+  put_blob(w, balancer_blob_);
+  put_blob(w, workload_blob_);
+  put_blob(w, tracker_blob_);
 
-  StateWriter out;
-  out.u64(kMagic);
-  out.u32(kFormatVersion);
-  out.u64(payload.size());
-  out.u64(fnv1a64(payload.data()));
-  out.bytes(payload.data());
-  return out.take();
+  std::vector<std::uint8_t> image = w.take();
+  const std::span<const std::uint8_t> payload(image.data() + kHeader,
+                                              image.size() - kHeader);
+  StateWriter fields;
+  fields.u64(payload.size());
+  fields.u64(fnv1a64(payload));
+  std::copy(fields.data().begin(), fields.data().end(),
+            image.begin() + kLenAt);
+  return image;
 }
 
 EngineSnapshot EngineSnapshot::deserialize(
@@ -294,7 +281,11 @@ EngineSnapshot EngineSnapshot::deserialize(
 }
 
 void EngineSnapshot::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = serialize();
+  write_image(path, serialize());
+}
+
+void EngineSnapshot::write_image(const std::string& path,
+                                 std::span<const std::uint8_t> bytes) {
   const std::string tmp = path + ".tmp";
   // POSIX write-fsync-rename: the image is durable *before* it takes the
   // checkpoint's name, so a crash mid-write leaves either the old intact

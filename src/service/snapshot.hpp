@@ -16,17 +16,18 @@
 //
 // The on-disk format is endian-stable (util/serial.hpp): an 8-byte magic,
 // a format version, the payload length, and an FNV-1a checksum, followed
-// by a fingerprint (node count, degree, self-loops, structure tag, an
-// FNV hash of the adjacency table, graph/balancer/workload names) and one
-// length-prefixed state blob per component. deserialize() and restore()
-// refuse — with a clean serial_error, before mutating anything — on a bad
-// magic, an unsupported version, a truncated buffer, a checksum mismatch,
-// or a fingerprint that does not match the restore target. Component
-// blobs are then applied in order; each component validates sizes and
-// ranges before assigning, and each blob must be consumed exactly
-// (expect_done), so a save/load asymmetry is an error, not a skew. A blob
-// that fails after earlier ones were applied rolls the target back to
-// its pre-restore state before the error propagates.
+// by a fingerprint (node count, degree, self-loops, structure tag, the
+// graph's adjacency fingerprint — computed once per Graph and cached, see
+// Graph::adjacency_fingerprint() — and the graph/balancer/workload names)
+// and one length-prefixed state blob per component. deserialize() and
+// restore() refuse — with a clean serial_error, before mutating anything —
+// on a bad magic, an unsupported version, a truncated buffer, a checksum
+// mismatch, or a fingerprint that does not match the restore target.
+// Component blobs are then applied in order; each component validates
+// sizes and ranges before assigning, and each blob must be consumed
+// exactly (expect_done), so a save/load asymmetry is an error, not a skew.
+// A blob that fails after earlier ones were applied rolls the target back
+// to its pre-restore state before the error propagates.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +99,10 @@ class EngineSnapshot {
   /// over `path`, so a crash mid-write can never clobber the previous
   /// good checkpoint. Throws serial_error on I/O failure.
   void write_file(const std::string& path) const;
+  /// write_file's I/O half for an image serialize() already produced, so a
+  /// caller that retries a failed write serializes (and checksums) once.
+  static void write_image(const std::string& path,
+                          std::span<const std::uint8_t> bytes);
   static EngineSnapshot read_file(const std::string& path);
 
   // -- metadata (for service logs and status lines) --
@@ -110,9 +115,10 @@ class EngineSnapshot {
   const std::string& workload_name() const noexcept { return workload_name_; }
   bool has_tracker() const noexcept { return has_tracker_; }
 
-  /// Fingerprint of the captured topology (FNV-1a over the adjacency
-  /// table, little-endian element bytes) — exposed so tests can corrupt
-  /// it deliberately.
+  /// Fingerprint of the captured topology: the graph's
+  /// adjacency_fingerprint() (FNV-1a over the adjacency table,
+  /// little-endian element bytes). Exposed so tests can corrupt it
+  /// deliberately.
   std::uint64_t adjacency_hash() const noexcept { return adjacency_hash_; }
 
  private:

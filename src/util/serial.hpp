@@ -4,8 +4,11 @@
 // recovery subsystem (src/service/snapshot.hpp): every stateful component
 // (engine core, balancers, workloads, the steady tracker) implements a
 // save_state/load_state pair against them. All multi-byte values are
-// written little-endian byte by byte, so a snapshot taken on any host
-// restores on any other; doubles travel as their IEEE-754 bit pattern.
+// written little-endian, so a snapshot taken on any host restores on any
+// other; doubles travel as their IEEE-754 bit pattern. Scalars are
+// assembled byte by byte. Sequences (vec_*) are one bulk copy on a
+// little-endian host, whose memory image already is the wire image, and
+// a per-element byte loop elsewhere — the bytes are the same either way.
 //
 // The reader is strict: reading past the end of the buffer throws
 // serial_error instead of returning garbage, and sequences carry explicit
@@ -18,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -60,34 +64,43 @@ class StateWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
-  void vec_i64(std::span<const std::int64_t> v) {
-    u64(v.size());
-    for (std::int64_t x : v) i64(x);
-  }
-
-  void vec_i32(std::span<const std::int32_t> v) {
-    u64(v.size());
-    for (std::int32_t x : v) i32(x);
-  }
+  void vec_i64(std::span<const std::int64_t> v) { seq(v); }
+  void vec_i32(std::span<const std::int32_t> v) { seq(v); }
 
   /// `int` vectors (rotor positions) travel as i32 — int is 32-bit on
   /// every platform we target, and pinning the width keeps the format
   /// host-independent.
-  void vec_int(std::span<const int> v) {
-    u64(v.size());
-    for (int x : v) i32(static_cast<std::int32_t>(x));
-  }
+  void vec_int(std::span<const int> v) { seq(v); }
 
-  void vec_f64(std::span<const double> v) {
-    u64(v.size());
-    for (double x : v) f64(x);
-  }
+  void vec_f64(std::span<const double> v) { seq(v); }
+
+  /// Pre-sizes the buffer for a writer that knows its final size.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   std::size_t size() const noexcept { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  /// Length prefix, then every element as its little-endian bytes.
+  template <class T>
+  void seq(std::span<const T> v) {
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    u64(v.size());
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+      buf_.insert(buf_.end(), bytes, bytes + v.size_bytes());
+    } else {
+      for (const T x : v) {
+        if constexpr (sizeof(T) == 4) {
+          u32(std::bit_cast<std::uint32_t>(x));
+        } else {
+          u64(std::bit_cast<std::uint64_t>(x));
+        }
+      }
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -127,33 +140,10 @@ class StateReader {
     return s;
   }
 
-  std::vector<std::int64_t> vec_i64() {
-    const std::size_t len = checked_len(8);
-    std::vector<std::int64_t> v(len);
-    for (auto& x : v) x = i64();
-    return v;
-  }
-
-  std::vector<std::int32_t> vec_i32() {
-    const std::size_t len = checked_len(4);
-    std::vector<std::int32_t> v(len);
-    for (auto& x : v) x = i32();
-    return v;
-  }
-
-  std::vector<int> vec_int() {
-    const std::size_t len = checked_len(4);
-    std::vector<int> v(len);
-    for (auto& x : v) x = static_cast<int>(i32());
-    return v;
-  }
-
-  std::vector<double> vec_f64() {
-    const std::size_t len = checked_len(8);
-    std::vector<double> v(len);
-    for (auto& x : v) x = f64();
-    return v;
-  }
+  std::vector<std::int64_t> vec_i64() { return seq<std::int64_t>(); }
+  std::vector<std::int32_t> vec_i32() { return seq<std::int32_t>(); }
+  std::vector<int> vec_int() { return seq<int>(); }
+  std::vector<double> vec_f64() { return seq<double>(); }
 
   /// Borrows the next `len` bytes without copying.
   std::span<const std::uint8_t> bytes(std::size_t len) {
@@ -191,6 +181,30 @@ class StateReader {
       throw serial_error("state buffer truncated (bad sequence length)");
     }
     return static_cast<std::size_t>(len);
+  }
+
+  /// Reads what StateWriter::seq wrote; the length is checked against
+  /// the remaining bytes before the vector is allocated.
+  template <class T>
+  std::vector<T> seq() {
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    const std::size_t len = checked_len(sizeof(T));
+    std::vector<T> v(len);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (len != 0) {
+        std::memcpy(v.data(), data_.data() + pos_, len * sizeof(T));
+      }
+      pos_ += len * sizeof(T);
+    } else {
+      for (T& x : v) {
+        if constexpr (sizeof(T) == 4) {
+          x = std::bit_cast<T>(u32());
+        } else {
+          x = std::bit_cast<T>(u64());
+        }
+      }
+    }
+    return v;
   }
 
   std::span<const std::uint8_t> data_;

@@ -18,6 +18,7 @@
 #include "core/fairness.hpp"
 #include "core/flow_tracker.hpp"
 #include "graph/generators.hpp"
+#include "util/assertions.hpp"
 
 namespace dlb {
 namespace {
@@ -173,6 +174,34 @@ TEST(Fairness, RandomizedRoundingGoesNegative) {
   e.run(300);
   EXPECT_TRUE(auditor.report().negative_seen);
   EXPECT_LT(e.min_load_seen(), 0);
+}
+
+TEST(Fairness, ReusedAuditorRejectsARunOfAnotherShape) {
+  // The auditor sizes its cumulative rows on its first step. Attached to
+  // a second engine over a smaller graph (or another d°) it must refuse
+  // the step rather than read past the smaller round's flow matrix.
+  FairnessAuditor auditor;
+  const Graph big = make_cycle(64);
+  SendFloor b1;
+  Engine first(big, EngineConfig{.self_loops = 2}, b1,
+               random_initial(big.num_nodes(), 100, 3));
+  first.add_observer(auditor);
+  first.run(3);
+  ASSERT_EQ(auditor.report().steps, 3);
+
+  const Graph small = make_cycle(16);
+  SendFloor b2;
+  Engine second(small, EngineConfig{.self_loops = 2}, b2,
+                random_initial(small.num_nodes(), 100, 3));
+  second.add_observer(auditor);
+  EXPECT_THROW(second.step(), invariant_error);
+
+  SendFloor b3;
+  Engine more_loops(big, EngineConfig{.self_loops = 3}, b3,
+                    random_initial(big.num_nodes(), 100, 3));
+  more_loops.add_observer(auditor);
+  EXPECT_THROW(more_loops.step(), invariant_error);
+  EXPECT_EQ(auditor.report().steps, 3);
 }
 
 // ----------------------------------------------------- flow tracker --

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -122,6 +125,95 @@ TEST(Graph, ReversePortTablesArePinnedPerFamily) {
   for (const Case& c : cases) {
     EXPECT_EQ(rev_port_hash(c.g), c.hash) << c.what;
     EXPECT_EQ(verify_regular_symmetric(c.g), c.g.degree()) << c.what;
+  }
+}
+
+TEST(Graph, AdjacencyFingerprintIsPinnedPerFamily) {
+  // Snapshots persist this value and restores compare it, so it is part
+  // of the v1 image format: FNV-1a over each adjacency entry's four
+  // little-endian bytes, in layout order. These are the values of the
+  // per-capture hash the cached fingerprint replaced.
+  struct Case {
+    const char* what;
+    Graph g;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {"cycle 7", make_cycle(7), 16136990045192757173ULL},
+      {"torus 4x5", make_torus2d(4, 5), 14068901007120539365ULL},
+      {"torus 3x4x5", make_torus({3, 4, 5}), 11129663607954849829ULL},
+      {"hypercube 5", make_hypercube(5), 17844709001965977253ULL},
+      {"complete 6", make_complete(6), 903228931734833732ULL},
+      {"circulant 10 {1,2,5}", make_circulant(10, {1, 2, 5}),
+       5415083220845017764ULL},
+      {"clique-circulant 12/5", make_clique_circulant(12, 5),
+       5274767261261433125ULL},
+      {"de Bruijn 2^4", make_debruijn(2, 4), 2810269463883776805ULL},
+      {"de Bruijn 3^3", make_debruijn(3, 3), 17919115395678007605ULL},
+      {"Petersen", make_petersen(), 13354754050306353396ULL},
+      {"K_{4,4}", make_complete_bipartite(4), 13852296491147416357ULL},
+      {"Margulis 5", make_margulis(5), 12799991646864143557ULL},
+      {"Margulis 8", make_margulis(8), 10814164660555737893ULL},
+      {"random regular 50/4", make_random_regular(50, 4, 3),
+       9636605914920067733ULL},
+      {"random regular 64/3", make_random_regular(64, 3, 7),
+       8568282411331923109ULL},
+      {"two-node parallel edges", Graph(2, 2, {1, 1, 0, 0}),
+       3343233955132900565ULL},
+      {"two-node parallel and self edges",
+       Graph(2, 4, {0, 1, 0, 1, 1, 0, 0, 1}, "multi", true),
+       16783330283426485717ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    // The untagged twin shares the tables, so it shares the value; a
+    // fresh copy taken before the first call computes it on its own.
+    const Graph fresh = c.g;
+    EXPECT_EQ(c.g.without_structure().adjacency_fingerprint(), c.fingerprint);
+    EXPECT_EQ(c.g.adjacency_fingerprint(), c.fingerprint);
+    EXPECT_EQ(fresh.adjacency_fingerprint(), c.fingerprint);
+    if (c.g.structure().kind != GraphStructure::kGeneric) {
+      // The implicit graph hashes the table it would hold.
+      const Graph implicit = Graph::implicit(c.g.num_nodes(), c.g.degree(),
+                                             c.g.name(), c.g.structure());
+      EXPECT_EQ(implicit.adjacency_fingerprint(), c.fingerprint);
+    }
+  }
+}
+
+TEST(Graph, AdjacencyFingerprintSurvivesCopiesMovesAndRacingFirstCalls) {
+  const std::uint64_t expected = make_torus2d(4, 5).adjacency_fingerprint();
+
+  Graph cached = make_torus2d(4, 5);
+  ASSERT_EQ(cached.adjacency_fingerprint(), expected);
+  const Graph copy = cached;
+  Graph assigned = make_cycle(3);
+  assigned = cached;
+  const Graph moved = std::move(cached);
+  EXPECT_EQ(copy.adjacency_fingerprint(), expected);
+  EXPECT_EQ(assigned.adjacency_fingerprint(), expected);
+  EXPECT_EQ(moved.adjacency_fingerprint(), expected);
+
+  // Eight threads race the first call on fresh graphs, table-backed and
+  // implicit: every caller gets the one value (the TSan job runs this).
+  const Graph implicit = Graph::implicit(
+      20, 4, "torus 4x5", StructureInfo{GraphStructure::kTorus, {4, 5}});
+  for (const bool use_implicit : {false, true}) {
+    const Graph table = make_torus2d(4, 5);
+    const Graph racer = use_implicit ? implicit : table;
+    std::atomic<int> ready{0};
+    std::vector<std::uint64_t> seen(8, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      threads.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < static_cast<int>(seen.size())) {
+        }
+        seen[i] = racer.adjacency_fingerprint();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const std::uint64_t h : seen) EXPECT_EQ(h, expected);
   }
 }
 

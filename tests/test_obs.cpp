@@ -374,6 +374,58 @@ TEST(TelemetryDeterminismTest, EngineGaugesMirrorEngineStateWhenArmed) {
             static_cast<double>(e.time()));
 }
 
+/// Counts rounds into a StepObserver slot without touching the flows.
+class CountingObserver : public StepObserver {
+ public:
+  void on_step(Step, const Graph&, int, std::span<const Load>,
+               std::span<const Load>, std::span<const Load>) override {
+    ++steps;
+  }
+  int steps = 0;
+};
+
+TEST(TelemetryDeterminismTest, ObserverTimeHasItsOwnPhase) {
+  // Observers run after the pull; their time must land in phase="observe",
+  // not in the apply histogram (or span) that times the pull.
+  constexpr int kRounds = 6;
+  const Graph g = make_cycle(32);
+  const auto run = [&](bool armed) {
+    std::unique_ptr<Balancer> b = find_balancer_factory("ROTOR-ROUTER")(7);
+    Engine e(g, EngineConfig{.self_loops = g.degree()}, *b,
+             random_initial(g.num_nodes(), 200, 5));
+    CountingObserver observer;
+    e.add_observer(observer);
+    auto& reg = obs::MetricsRegistry::instance();
+    const auto phase_count = [&](const char* phase) {
+      return reg.sample("dlb_engine_phase_seconds",
+                        {{"engine", "flat"}, {"phase", phase}});
+    };
+    std::vector<LoadVector> loads;
+    {
+      std::unique_ptr<TelemetryOn> on;
+      if (armed) on = std::make_unique<TelemetryOn>();
+      const double apply_before = phase_count("apply");
+      const double observe_before = phase_count("observe");
+      for (int i = 0; i < kRounds; ++i) {
+        e.step();
+        loads.push_back(e.loads());
+      }
+      if (armed) {
+        EXPECT_EQ(phase_count("apply") - apply_before, kRounds);
+        EXPECT_EQ(phase_count("observe") - observe_before, kRounds);
+        std::ostringstream trace;
+        obs::Tracer::instance().write_chrome_trace(trace);
+        EXPECT_NE(trace.str().find("\"name\":\"observe\""),
+                  std::string::npos);
+      }
+    }
+    EXPECT_EQ(observer.steps, kRounds);
+    return loads;
+  };
+  const std::vector<LoadVector> off = run(false);
+  EXPECT_EQ(run(true), off) << "armed telemetry changed the trajectory";
+}
+
 TEST(TelemetryDeterminismTest, ShardedChannelByteCountersTrackHaloTraffic) {
   const Graph g = make_cycle(64);
   std::unique_ptr<Balancer> b = find_balancer_factory("SEND(floor)")(7);

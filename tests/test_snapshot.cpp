@@ -798,6 +798,86 @@ TEST(SnapshotShardInterop, KShardImageRestoresIntoOneShardAndFlat) {
   }
 }
 
+// ------------------------------------------------------ pinned image bytes --
+
+/// Serialized image after 13 admission-queue rounds of `name` on `g` with
+/// a steady-state tracker attached: on the flat engine when `shards` is 0,
+/// else on a `shards`-way ShardedEngine. At round 13 the FIFO backlog is
+/// non-empty, so every component blob carries state.
+std::vector<std::uint8_t> admission_image(const std::string& name,
+                                          const Graph& g, int shards) {
+  constexpr Step kRounds = 13;
+  const BalancerTraits traits = find_balancer_traits(name);
+  const int d_loops = traits.exact_d_loops
+                          ? g.degree()
+                          : std::max(traits.min_loops(g.degree()), g.degree());
+  std::unique_ptr<Balancer> b = find_balancer_factory(name)(/*seed=*/11);
+  WorkloadBox wl = make_workload(Churn::kAdmission);
+  wl.process->reset(g.num_nodes(), /*seed=*/42);
+  SteadyStateTracker tracker(SteadyOptions{.window = 12, .warmup = 4});
+  const LoadVector initial = random_initial(g.num_nodes(), 300, /*seed=*/17);
+  const auto run = [&](auto& engine) {
+    engine.set_workload(wl.process.get());
+    for (Step t = 0; t < kRounds; ++t) {
+      engine.step();
+      tracker.observe(engine.time(), engine.discrepancy());
+    }
+    return EngineSnapshot::capture(engine, &tracker).serialize();
+  };
+  if (shards == 0) {
+    Engine flat(g, EngineConfig{.self_loops = d_loops}, *b, initial);
+    return run(flat);
+  }
+  ShardedEngine sharded(g, ShardedEngineConfig{.self_loops = d_loops}, *b,
+                        initial, shards);
+  return run(sharded);
+}
+
+TEST(SnapshotBytes, ImagesArePinnedPerBalancerGraphAndEngine) {
+  // The v1 image is a persisted format: a checkpoint written by one build
+  // must restore under the next. These digests (FNV-1a over the whole
+  // serialized image) pin its bytes for every registry balancer on an
+  // implicit torus and a table-backed random-regular graph, with the
+  // admission queue and the tracker in the image. A flat and a 3-shard
+  // capture of the same run must be the same bytes. A change that moves
+  // a digest changes the format and needs a new kFormatVersion.
+  struct Pinned {
+    const char* balancer;
+    std::uint64_t torus;
+    std::uint64_t random_regular;
+  };
+  const Pinned pinned[] = {
+      {"FIXED-PRIORITY", 16783722087466275897ULL, 13871208264233647097ULL},
+      {"RAND-EXTRA", 11434813390178084985ULL, 2989647190076982937ULL},
+      {"RAND-ROUND", 12401177741536089083ULL, 7122016834069095596ULL},
+      {"CONT-MIMIC", 479850397054126508ULL, 17716676336065971371ULL},
+      {"BOUNDED-ERROR", 6848884555883182912ULL, 14342490687104231651ULL},
+      {"SEND(floor)", 15194975886669161574ULL, 3966833308925266170ULL},
+      {"SEND(nearest)", 10967714902571040922ULL, 12225457583457497238ULL},
+      {"ROTOR-ROUTER", 12812437372340911526ULL, 11390229991045206594ULL},
+      {"ROTOR-ROUTER*", 14301414417721860716ULL, 5921182046269026409ULL},
+  };
+  const Graph torus = Graph::implicit(48, 4, "torus 8x6",
+                                      StructureInfo{GraphStructure::kTorus,
+                                                    {8, 6}});
+  const Graph random_regular = make_random_regular(48, 4, /*seed=*/5);
+  const std::vector<std::string> names = registered_balancer_names();
+  ASSERT_EQ(names.size(), std::size(pinned));
+  for (const std::string& name : names) {
+    const auto it =
+        std::find_if(std::begin(pinned), std::end(pinned),
+                     [&](const Pinned& p) { return name == p.balancer; });
+    ASSERT_NE(it, std::end(pinned)) << name << " has no pinned digest";
+    for (const bool is_torus : {true, false}) {
+      const Graph& g = is_torus ? torus : random_regular;
+      SCOPED_TRACE(name + " on " + g.name());
+      const std::vector<std::uint8_t> flat = admission_image(name, g, 0);
+      EXPECT_EQ(admission_image(name, g, 3), flat)
+          << "3-shard image differs from the flat one";
+      EXPECT_EQ(fnv1a64(flat), is_torus ? it->torus : it->random_regular);
+    }
+  }
+}
 
 // ------------------------------------------------------- atomic restore --
 

@@ -1,7 +1,11 @@
-// Unit tests for the util layer: rng, intmath, stats, csv, assertions.
+// Unit tests for the util layer: rng, intmath, stats, csv, serial,
+// assertions.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -10,6 +14,7 @@
 #include "util/csv.hpp"
 #include "util/intmath.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "util/stats.hpp"
 
 namespace dlb {
@@ -256,6 +261,92 @@ TEST(Csv, RowBeforeHeaderThrows) {
   std::ostringstream out;
   CsvWriter w(out);
   EXPECT_THROW(w.row({"x"}), invariant_error);
+}
+
+// ------------------------------------------------------------- serial --
+
+/// The wire format spelled out: a u64 length, then each element's bits
+/// (`width` bytes) least significant byte first.
+std::vector<std::uint8_t> byte_loop(const std::vector<std::uint64_t>& bits,
+                                    int width) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(bits.size() >> (8 * i)));
+  }
+  for (const std::uint64_t x : bits) {
+    for (int i = 0; i < width; ++i) {
+      out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    }
+  }
+  return out;
+}
+
+TEST(Serial, BulkSequencesMatchTheByteLoopAndRoundTrip) {
+  Rng rng(2026);
+  for (const std::size_t len : {0, 1, 3, 7, 64, 1001}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<std::int64_t> i64s(len);
+    std::vector<std::int32_t> i32s(len);
+    std::vector<int> ints(len);
+    std::vector<double> f64s(len);
+    std::vector<std::uint64_t> bits64(len), bits32(len), bitsf(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      i64s[i] = static_cast<std::int64_t>(rng.next());
+      i32s[i] = static_cast<std::int32_t>(rng.next());
+      ints[i] = static_cast<int>(rng.next());
+      f64s[i] = std::bit_cast<double>(rng.next());
+      bits64[i] = static_cast<std::uint64_t>(i64s[i]);
+      bits32[i] = static_cast<std::uint32_t>(i32s[i]);
+      bitsf[i] = std::bit_cast<std::uint64_t>(f64s[i]);
+    }
+    std::vector<std::uint64_t> bits_int(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      bits_int[i] = static_cast<std::uint32_t>(ints[i]);
+    }
+    StateWriter w;
+    w.u8(0xA5);  // odd offset: the spans start unaligned
+    w.vec_i64(i64s);
+    w.vec_i32(i32s);
+    w.vec_int(ints);
+    w.vec_f64(f64s);
+    std::vector<std::uint8_t> expected{0xA5};
+    for (const auto& part :
+         {byte_loop(bits64, 8), byte_loop(bits32, 4), byte_loop(bits_int, 4),
+          byte_loop(bitsf, 8)}) {
+      expected.insert(expected.end(), part.begin(), part.end());
+    }
+    ASSERT_EQ(w.data(), expected);
+
+    StateReader r(w.data());
+    EXPECT_EQ(r.u8(), 0xA5);
+    EXPECT_EQ(r.vec_i64(), i64s);
+    EXPECT_EQ(r.vec_i32(), i32s);
+    EXPECT_EQ(r.vec_int(), ints);
+    const std::vector<double> back = r.vec_f64();
+    ASSERT_EQ(back.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]), bitsf[i]);
+    }
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TEST(Serial, ForgedSequenceLengthThrowsBeforeAllocating) {
+  // A length that allocated first would throw bad_alloc / length_error
+  // (or exhaust memory) instead of serial_error.
+  for (const std::uint64_t forged :
+       {std::numeric_limits<std::uint64_t>::max(), std::uint64_t{1} << 61,
+        std::uint64_t{6}}) {
+    SCOPED_TRACE("forged length " + std::to_string(forged));
+    StateWriter w;
+    w.u64(forged);
+    for (int i = 0; i < 23; ++i) w.u8(0);  // 2 whole i64s, 5 whole i32s
+    const std::vector<std::uint8_t> bytes = w.take();
+    EXPECT_THROW(StateReader(bytes).vec_i64(), serial_error);
+    EXPECT_THROW(StateReader(bytes).vec_i32(), serial_error);
+    EXPECT_THROW(StateReader(bytes).vec_int(), serial_error);
+    EXPECT_THROW(StateReader(bytes).vec_f64(), serial_error);
+  }
 }
 
 // --------------------------------------------------------- assertions --
